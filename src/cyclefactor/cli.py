@@ -13,11 +13,9 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -42,7 +40,7 @@ from .graphs import (
     require_valid,
     write_graph,
 )
-from .sampling import SamplerConfig, min_cycle_factor
+from .sampling import MinFactorResult, SamplerConfig, min_cycle_factor
 from .transforms import (
     to_path_factor,
     to_tour,
@@ -164,7 +162,8 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r[3] for r in rows) else EXIT_INVALID
 
 
-def _factor_payload(g: RegularDigraph, args) -> tuple[dict, object]:
+def _sample_payload(g: RegularDigraph, args) -> tuple[dict, MinFactorResult]:
+    """Run min-of-k and return the fields every sampling command reports."""
     cfg = _sampler_config(args, args.seed)
     result = min_cycle_factor(g, cfg)
     payload = {
@@ -173,11 +172,18 @@ def _factor_payload(g: RegularDigraph, args) -> tuple[dict, object]:
         "backend": result.backend,
         "steps": cfg.resolve_steps(g) if result.backend == "mcmc" else 0,
         "cycle_counts": list(result.cycle_counts),
-        "cycle_count": result.best_count,
-        "sigma": list(result.factor.sigma),
-        "cycles": [list(c) for c in result.factor.cycles],
         "cycle_bound": cycle_bound(g.n, g.d),
     }
+    return payload, result
+
+
+def _factor_payload(g: RegularDigraph, args) -> tuple[dict, object]:
+    payload, result = _sample_payload(g, args)
+    payload.update(
+        cycle_count=result.best_count,
+        sigma=list(result.factor.sigma),
+        cycles=[list(c) for c in result.factor.cycles],
+    )
     return payload, result.factor
 
 
@@ -235,23 +241,10 @@ def cmd_sample_stats(args) -> int:
     g = _load_graph(args.path)
     if isinstance(g, UndirectedRegularGraph):
         g = double_undirected(g)
-    cfg = _sampler_config(args, args.seed)
-    result = min_cycle_factor(g, cfg)
+    payload, result = _sample_payload(g, args)
     counts = result.cycle_counts
-    _emit(
-        {
-            "instance_hash": instance_hash(g),
-            "seed": args.seed,
-            "backend": result.backend,
-            "steps": cfg.resolve_steps(g) if result.backend == "mcmc" else 0,
-            "cycle_counts": list(counts),
-            "mean": sum(counts) / len(counts),
-            "min": min(counts),
-            "max": max(counts),
-            "cycle_bound": cycle_bound(g.n, g.d),
-        },
-        args.out,
-    )
+    payload.update(mean=sum(counts) / len(counts), min=min(counts), max=max(counts))
+    _emit(payload, args.out)
     return EXIT_OK
 
 
@@ -287,13 +280,18 @@ def cmd_entropy_check(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_INVALID
 
 
-def _bench_instance(desc: dict, config: dict) -> tuple[str, object]:
+def _bench_instance(desc: dict) -> tuple[str, object]:
     if "path" in desc:
         g = read_graph(desc["path"])
-    elif desc.get("family") == "random":
-        g = gen_random_regular_digraph(desc["n"], desc["d"], desc["seed"])
     else:
-        g = gen_family(desc["family"], desc["n"], desc["d"])
+        need = ("family", "n", "d") + (("seed",) if desc.get("family") == "random" else ())
+        missing = [k for k in need if k not in desc]
+        if missing:
+            raise BadParameters(f"manifest instance lacks {', '.join(missing)}")
+        if desc["family"] == "random":
+            g = gen_random_regular_digraph(desc["n"], desc["d"], desc["seed"])
+        else:
+            g = gen_family(desc["family"], desc["n"], desc["d"])
     require_valid(g)
     return instance_hash(g), g
 
@@ -328,12 +326,38 @@ def _bench_outputs(g, config: dict) -> dict:
     return outputs
 
 
+def _existing_keys(out_path: Path) -> set:
+    """Keys of the complete records already in the results file.
+
+    A last line without its newline is what an interrupted append leaves:
+    it is cut off, so the next record starts on a fresh line and that
+    instance runs again."""
+    try:
+        data = out_path.read_bytes()
+    except FileNotFoundError:
+        return set()
+    complete = data[: data.rfind(b"\n") + 1]
+    keys = set()
+    for lineno, line in enumerate(complete.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            keys.add((rec["instance_hash"], rec["config_hash"], rec["seed"]))
+        except (ValueError, KeyError, TypeError) as e:
+            raise _Exit(EXIT_INVALID, f"bad results file {out_path}, line {lineno}: {e}")
+    if len(complete) < len(data):
+        with out_path.open("r+b") as fh:
+            fh.truncate(len(complete))
+    return keys
+
+
 def cmd_bench(args) -> int:
     try:
         manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
     except FileNotFoundError as e:
         raise _Exit(EXIT_IO, f"cannot read manifest: {e}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not JSON, or not UTF-8
         raise _Exit(EXIT_INVALID, f"bad manifest: {e}")
     config = manifest.get("config", {})
     instances = manifest.get("instances", [])
@@ -342,54 +366,39 @@ def cmd_bench(args) -> int:
         json.dumps(config, sort_keys=True).encode()
     ).hexdigest()[:16]
 
-    existing = set()
-    if out_path.exists():
-        for line in out_path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                rec = json.loads(line)
-                existing.add((rec["instance_hash"], rec["config_hash"], rec["seed"]))
-
-    workers = max(1, int(os.environ.get("CYCLEFACTOR_THREADS", "1")))
-
-    def run_one(desc: dict):
-        ih, g = _bench_instance(desc, config)
-        seed = config.get("seed", 0)
-        key = (ih, config_hash, seed)
-        if key in existing:
-            return None
-        start = time.monotonic()
-        outputs = _bench_outputs(g, config)
-        wall_ms = int((time.monotonic() - start) * 1000)
-        return {
-            "instance": desc,
-            "instance_hash": ih,
-            "config": config,
-            "config_hash": config_hash,
-            "seed": seed,
-            "outputs": outputs,
-            "wall_ms": wall_ms,
-            "version": __version__,
-        }
-
+    existing = _existing_keys(out_path)
+    seed = config.get("seed", 0)
     errors = []
     records = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_one, desc) for desc in instances]
-        for desc, fut in zip(instances, futures):
+    try:
+        fh = out_path.open("a", encoding="utf-8")
+    except OSError as e:
+        raise _Exit(EXIT_IO, f"cannot write results: {e}")
+    with fh:
+        for desc in instances:
             try:
-                rec = fut.result()
+                ih, g = _bench_instance(desc)
+                if (ih, config_hash, seed) in existing:
+                    continue
+                start = time.monotonic()
+                outputs = _bench_outputs(g, config)
             except CycleFactorError as e:
                 errors.append({"instance": desc, "error": str(e)})
                 continue
-            if rec is not None:
-                records.append(rec)
-
-    try:
-        with out_path.open("a", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    except OSError as e:
-        raise _Exit(EXIT_IO, f"cannot write results: {e}")
+            rec = {
+                "instance": desc,
+                "instance_hash": ih,
+                "config": config,
+                "config_hash": config_hash,
+                "seed": seed,
+                "outputs": outputs,
+                "wall_ms": int((time.monotonic() - start) * 1000),
+                "version": __version__,
+            }
+            # Flushed per record, so an interrupted run keeps what it finished.
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.flush()
+            records.append(rec)
 
     if args.format == "csv" and records:
         csv_path = out_path.with_suffix(".csv")

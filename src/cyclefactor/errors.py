@@ -51,10 +51,6 @@ class BadParameters(CycleFactorError):
     pass
 
 
-class RetryLimitExceeded(CycleFactorError):
-    pass
-
-
 class ParseError(CycleFactorError):
     def __init__(self, line: int, reason: str):
         self.line = line
@@ -91,8 +87,4 @@ class InvalidDistribution(CycleFactorError):
 
 
 class OutOfRange(CycleFactorError):
-    pass
-
-
-class IoError(CycleFactorError):
     pass

@@ -8,6 +8,7 @@ undirected graphs are always simple.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +23,6 @@ from .errors import (
     IndexOutOfRange,
     LoopNotAllowed,
     ParseError,
-    RetryLimitExceeded,
 )
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
     "write_graph",
     "graph_to_text",
 ]
-
-_RETRY_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -69,13 +67,6 @@ class RegularDigraph:
         row = self.out_adj[u]
         k = bisect.bisect_left(row, v)
         return k < len(row) and row[k] == v
-
-    def transpose(self) -> "RegularDigraph":
-        rev: list[list[int]] = [[] for _ in range(self.n)]
-        for u, row in enumerate(self.out_adj):
-            for v in row:
-                rev[v].append(u)
-        return RegularDigraph.from_lists(self.n, self.d, rev)
 
 
 @dataclass(frozen=True)
@@ -136,9 +127,6 @@ class BipartiteGraph:
             for v in row:
                 rev[v].append(u)
         return tuple(tuple(sorted(r)) for r in rev)
-
-    def num_edges(self) -> int:
-        return sum(len(row) for row in self.adj)
 
 
 @dataclass(frozen=True)
@@ -277,23 +265,6 @@ def double_undirected(g: UndirectedRegularGraph) -> RegularDigraph:
     return RegularDigraph(g.n, g.d, g.adj)
 
 
-def _permutation_digraph(perms: list[list[int]], n: int) -> RegularDigraph:
-    out = [sorted(p[i] for p in perms) for i in range(n)]
-    return RegularDigraph(n, len(perms), tuple(tuple(row) for row in out))
-
-
-def _latin_square_digraph(n: int, d: int, rng: random.Random) -> RegularDigraph:
-    # Columns of a randomly relabelled cyclic Latin square: d permutations
-    # that pairwise disagree everywhere, by distinct offsets.
-    p = list(range(n))
-    q = list(range(n))
-    rng.shuffle(p)
-    rng.shuffle(q)
-    offsets = rng.sample(range(n), d)
-    perms = [[p[(q[i] + c) % n] for i in range(n)] for c in offsets]
-    return _permutation_digraph(perms, n)
-
-
 def gen_random_regular_digraph(
     n: int,
     d: int,
@@ -301,49 +272,70 @@ def gen_random_regular_digraph(
     allow_loops: bool = True,
     allow_digons: bool = True,
 ) -> RegularDigraph:
-    """Random d-regular digraph as a union of d random permutations.
+    """Random d-regular digraph from the switch chain on arcs.
 
-    Whole d-tuples of permutations are rejection-sampled until no two
-    permutations agree at any index (so no parallel edges), which makes the
-    output exactly uniform over pairwise-disagreeing tuples. With
-    ``allow_loops=False`` fixed points are also rejected; with
-    ``allow_digons=False`` directed 2-cycles are rejected. Deterministic
-    given seed. Tuple acceptance decays like exp(-d(d-1)/2), so attempts
-    are batched through numpy and, once the retry budget is spent, the
-    unconstrained case falls back to a random Latin-square construction.
+    Starts from the circulant i -> i + c (mod n), c = 0..d-1 (1..d without
+    loops), under a seeded shuffle of the vertices, then makes
+    ceil(m ln m) + 1000 proposals, m = n * d: two uniform arcs
+    (a -> b, c -> e) become (a -> e, c -> b) unless that creates a
+    parallel arc or a forbidden loop or digon. Deterministic given seed.
+
+    Uniformity is claimed only with loops allowed, or with loops forbidden
+    and digons allowed, where the chain is irreducible (Kannan, Tetali and
+    Vempala 1999; Greenhill 2011). With ``allow_digons=False`` it is not:
+    the start graph of (6, 2) or (7, 2) without loops never moves, so that
+    output is a random relabelled instance, not claimed uniform.
+
+    Raises BadParameters when no digraph meets the constraints (d outside
+    1..n; no loops with d = n; no digons with 2(d-1) > n-1, or 2d > n-1
+    without loops), which is exactly when no circulant start exists.
     """
-    import numpy as np
-
     if not 1 <= d <= n:
         raise BadParameters(f"need 1 <= d <= n, got d={d}, n={n}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    identity = np.arange(n)
-    tried = 0
-    while tried < _RETRY_LIMIT:
-        batch = min(256, _RETRY_LIMIT - tried)
-        tried += batch
-        perms = np.argsort(rng.random((batch, d, n)), axis=2)
-        ok = np.ones(batch, dtype=bool)
-        if not allow_loops:
-            ok &= ~(perms == identity).any(axis=(1, 2))
-        for a in range(d):
-            for b in range(a + 1, d):
-                ok &= ~(perms[:, a, :] == perms[:, b, :]).any(axis=1)
-        if not allow_digons:
-            invs = np.argsort(perms, axis=2)
-            for a in range(d):
-                for b in range(d):
-                    hits = (perms[:, a, :] == invs[:, b, :]) & (perms[:, a, :] != identity)
-                    ok &= ~hits.any(axis=1)
-        idx = np.flatnonzero(ok)
-        if idx.size:
-            chosen = perms[idx[0]]
-            return _permutation_digraph([list(map(int, p)) for p in chosen], n)
-    if allow_loops and allow_digons:
-        return _latin_square_digraph(n, d, random.Random(seed))
-    raise RetryLimitExceeded(
-        f"could not sample (n={n}, d={d}) with the requested loop/digon constraints"
-    )
+    if not allow_loops and d == n:
+        raise BadParameters(f"no loop-free d-regular digraph has d = n = {n}")
+    # Without digons the out- and in-neighbours of a vertex other than itself
+    # are disjoint; a vertex with a loop has d - 1 of each.
+    if not allow_digons and 2 * (d - 1 if allow_loops else d) > n - 1:
+        raise BadParameters(
+            f"no {d}-regular digraph on {n} vertices without digons"
+            + ("" if allow_loops else " or loops")
+        )
+    rng = random.Random(seed)
+    label = list(range(n))
+    rng.shuffle(label)
+    first = 0 if allow_loops else 1
+    tails = [label[i] for _ in range(d) for i in range(n)]
+    heads = [label[(i + c) % n] for c in range(first, first + d) for i in range(n)]
+    arcs = {t * n + h for t, h in zip(tails, heads)}
+    m = n * d
+    pick, pairs = rng.randrange, m * m
+    for _ in range(math.ceil(m * math.log(m)) + 1000):
+        i, j = divmod(pick(pairs), m)
+        a, b, c, e = tails[i], heads[i], tails[j], heads[j]
+        if a == c or b == e:
+            continue
+        ae = a * n + e
+        cb = c * n + b
+        if ae in arcs or cb in arcs:
+            continue
+        if not allow_loops and (a == e or c == b):
+            continue
+        if not allow_digons and (
+            (a != e and e * n + a in arcs)
+            or (c != b and b * n + c in arcs)
+            or (a == b and c == e)  # two loops become a digon a -> c -> a
+        ):
+            continue
+        arcs.remove(a * n + b)
+        arcs.remove(c * n + e)
+        arcs.add(ae)
+        arcs.add(cb)
+        heads[i], heads[j] = e, b
+    out: list[list[int]] = [[] for _ in range(n)]
+    for t, h in zip(tails, heads):
+        out[t].append(h)
+    return RegularDigraph.from_lists(n, d, out)
 
 
 def gen_family(kind: str, n: int, d: int):
@@ -452,4 +444,9 @@ def parse_graph(text: str):
 
 
 def read_graph(path):
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(data.count(b"\n", 0, e.start) + 1, f"not UTF-8 text: {e.reason}") from None
+    return parse_graph(text)

@@ -51,7 +51,6 @@ class SamplerConfig:
     mcmc_steps: int | None = None  # default 50 * n^2 * d
     num_samples: int | None = None  # default max(10, ceil(4 * log2 n))
     seed: int = 0
-    tv_target: float | None = None  # advisory only, recorded in reports
 
     def resolve_backend(self, n: int) -> str:
         if self.backend == "auto":

@@ -35,6 +35,16 @@ class TestGen:
         g = read_graph(out)
         assert g.n == 30 and g.d == 5
 
+    def test_random_dense_no_loops(self, tmp_path, capsys):
+        out = tmp_path / "g.digraph"
+        code, _, _ = run(
+            capsys, "gen", "random", "--n", 300, "--d", 5, "--seed", 1, "--no-loops",
+            "--out", out,
+        )
+        assert code == 0
+        g = read_graph(out)
+        assert all(i not in row for i, row in enumerate(g.out_adj))
+
     def test_random_needs_seed(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "gen", "random", "--n", 6, "--d", 2, "--out", tmp_path / "x"
@@ -90,6 +100,13 @@ class TestVerify:
         path.write_text("digraph 2 1\n1\n1\n")
         code, _, _ = run(capsys, "verify", path)
         assert code == 2
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.digraph"
+        path.write_bytes(b"digraph 1 1\n\xff\n")
+        code, _, err = run(capsys, "verify", path)
+        assert code == 2
+        assert "line 2" in err
 
 
 class TestFactorCommands:
@@ -219,6 +236,55 @@ class TestBench:
         code, _, _ = run(capsys, "bench", manifest, "--out", out)
         assert code == 0
         assert not out.exists() or out.read_text() == ""
+
+    def test_torn_last_line_dropped(self, tmp_path, capsys):
+        manifest = self.manifest(tmp_path)
+        full = tmp_path / "full.ndjson"
+        run(capsys, "bench", manifest, "--out", full)
+        lines = full.read_text().splitlines(keepends=True)
+        torn = tmp_path / "torn.ndjson"
+        torn.write_text("".join(lines[:3]) + lines[3][:40])
+        code, _, _ = run(capsys, "bench", manifest, "--out", torn)
+        assert code == 0
+        records = [json.loads(l) for l in torn.read_text().splitlines()]
+        assert records[:3] == [json.loads(l) for l in lines[:3]]
+        assert len(records) == len(lines)
+
+    def test_corrupt_complete_line_rejected(self, tmp_path, capsys):
+        out = tmp_path / "r.ndjson"
+        out.write_text("not json\n")
+        code, _, err = run(capsys, "bench", self.manifest(tmp_path), "--out", out)
+        assert code == 2
+        assert "line 1" in err
+        assert out.read_text() == "not json\n"
+
+    def test_instance_without_d_is_partial_failure(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "config": {"samples": 2},
+            "instances": [{"family": "random", "n": 6, "seed": 1},
+                          {"family": "cycle", "n": 6, "d": 2}],
+        }))
+        out = tmp_path / "r.ndjson"
+        code, _, err = run(capsys, "bench", manifest, "--out", out)
+        assert code == 2
+        assert json.loads(err)["partial_failures"][0]["error"] == "manifest instance lacks d"
+        assert len(out.read_text().splitlines()) == 1
+
+    def test_not_utf8_graph_is_partial_failure(self, tmp_path, capsys):
+        graph = tmp_path / "bad.digraph"
+        graph.write_bytes(b"\xff\xfe")
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"config": {}, "instances": [{"path": str(graph)}]}))
+        code, _, err = run(capsys, "bench", manifest, "--out", tmp_path / "r.ndjson")
+        assert code == 2
+        assert "partial_failures" in err
+
+    def test_manifest_not_utf8(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(b"\xff\xfe")
+        code, _, _ = run(capsys, "bench", manifest, "--out", tmp_path / "r.ndjson")
+        assert code == 2
 
     def test_csv_export(self, tmp_path, capsys):
         manifest = self.manifest(tmp_path)

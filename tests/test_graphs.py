@@ -1,6 +1,9 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
+from scipy.stats import chisquare
 
 from cyclefactor.errors import (
     AsymmetricEdge,
@@ -30,6 +33,26 @@ from cyclefactor.graphs import (
 
 def complete_loops(n):
     return gen_family("complete_loops", n, n)
+
+
+def all_regular_digraphs(n, d, loops):
+    """Every d-regular digraph on n vertices, as sorted adjacency tuples."""
+    rows = [
+        [r for r in itertools.combinations(range(n), d) if loops or i not in r]
+        for i in range(n)
+    ]
+    found = []
+
+    def extend(prefix, in_deg):
+        if len(prefix) == n:
+            found.append(tuple(prefix))
+            return
+        for r in rows[len(prefix)]:
+            if all(in_deg[v] < d for v in r):
+                extend(prefix + [r], [c + (v in r) for v, c in enumerate(in_deg)])
+
+    extend([], [0] * n)
+    return found
 
 
 class TestValidateDigraph:
@@ -62,13 +85,6 @@ class TestValidateDigraph:
         v = validate_digraph(g)
         assert isinstance(v.error, DegreeMismatch)
 
-    def test_transpose_also_valid(self):
-        for seed in range(20):
-            g = gen_random_regular_digraph(7, 3, seed)
-            t = g.transpose()
-            assert t.n == g.n and t.d == g.d
-            assert validate_digraph(t).ok
-
 
 class TestValidateUndirected:
     def test_cycle_valid(self):
@@ -91,14 +107,12 @@ class TestToBipartite:
 
     def test_complete_loops_gives_k33(self):
         h = to_bipartite(complete_loops(3))
-        assert h.num_edges() == 9
         assert all(row == (0, 1, 2) for row in h.adj)
 
     def test_directed_3cycle_gives_matching(self):
         g = RegularDigraph(3, 1, ((1,), (2,), (0,)))
         h = to_bipartite(g)
         assert h.adj == ((1,), (2,), (0,))
-        assert h.num_edges() == g.n * g.d
 
     def test_in_adj_is_transpose(self):
         g = gen_random_regular_digraph(6, 2, 3)
@@ -167,6 +181,48 @@ class TestRandomGenerator:
     def test_bad_parameters(self):
         with pytest.raises(BadParameters):
             gen_random_regular_digraph(3, 4, 0)
+
+    @pytest.mark.parametrize(
+        "n,d,loops,per_graph",
+        [(4, 2, True, 10), (5, 3, True, 4), (5, 4, True, 10), (5, 2, False, 10)],
+    )
+    def test_uniform_over_all_digraphs(self, n, d, loops, per_graph):
+        support = all_regular_digraphs(n, d, loops)
+        draws = Counter(
+            gen_random_regular_digraph(n, d, seed, allow_loops=loops).out_adj
+            for seed in range(per_graph * len(support))
+        )
+        assert set(draws) <= set(support)
+        assert chisquare([draws[g] for g in support]).pvalue >= 1e-3
+
+    def test_flags_honoured_and_infeasible_rejected(self):
+        for n in range(1, 13):
+            for d in range(1, n + 1):
+                for loops, digons in itertools.product((True, False), repeat=2):
+                    feasible = (loops or d < n) and (
+                        digons or 2 * (d - 1 if loops else d) <= n - 1
+                    )
+                    case = (n, d, loops, digons)
+                    if not feasible:
+                        with pytest.raises(BadParameters):
+                            gen_random_regular_digraph(
+                                n, d, 0, allow_loops=loops, allow_digons=digons
+                            )
+                        continue
+                    g = gen_random_regular_digraph(
+                        n, d, n * d, allow_loops=loops, allow_digons=digons
+                    )
+                    assert validate_digraph(g).ok, case
+                    arcs = {(u, v) for u, row in enumerate(g.out_adj) for v in row}
+                    assert loops or all(u != v for u, v in arcs), case
+                    assert digons or all(u == v or (v, u) not in arcs for u, v in arcs), case
+
+    def test_no_digons_output_varies_with_seed(self):
+        outs = {
+            gen_random_regular_digraph(12, 3, seed, allow_loops=False, allow_digons=False)
+            for seed in range(20)
+        }
+        assert len(outs) > 1
 
 
 class TestFamilies:
