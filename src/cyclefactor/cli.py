@@ -134,14 +134,10 @@ def cmd_verify(args) -> int:
     loss_cap = report.n / report.d * math.log2(math.e * report.d)
     rows.append(("entropy_loss_nonnegative", 0.0, report.entropy_loss, report.entropy_loss >= -1e-9))
     rows.append(("entropy_loss_upper", report.entropy_loss, loss_cap, report.entropy_loss <= loss_cap + 1e-9))
-    audit_note = None
     if g.n <= 6:
-        try:
-            audit = reveal_audit(g)
-            rows.append(("reveal_uniformity", 0.0, 0.0, audit.uniform))
-            rows.append(("reveal_loss_agreement", audit.loss_gap, 1e-6, audit.loss_gap <= 1e-6))
-        except SizeLimitExceeded:
-            audit_note = "reveal audit skipped (too many factors)"
+        audit = reveal_audit(g)
+        rows.append(("reveal_uniformity", 0.0, 0.0, audit.uniform))
+        rows.append(("reveal_loss_agreement", audit.loss_gap, 1e-6, audit.loss_gap <= 1e-6))
     if args.format == "json":
         _emit(
             {
@@ -157,8 +153,6 @@ def cmd_verify(args) -> int:
               f"E[cycles]={report.expected_cycles} loss={report.entropy_loss:.6f}")
         for name, lhs, rhs, holds in rows:
             print(f"{'PASS' if holds else 'FAIL'}  {name:28s} lhs={lhs:.6g} rhs={rhs:.6g}")
-        if audit_note:
-            print(audit_note)
     return EXIT_OK if all(r[3] for r in rows) else EXIT_INVALID
 
 
@@ -280,14 +274,21 @@ def cmd_entropy_check(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_INVALID
 
 
-def _bench_instance(desc: dict) -> tuple[str, object]:
+def _bench_instance(desc) -> tuple[str, object]:
+    if not isinstance(desc, dict):
+        raise BadParameters("manifest instance is not an object")
     if "path" in desc:
+        if not isinstance(desc["path"], str):
+            raise BadParameters("manifest instance path is not a string")
         g = read_graph(desc["path"])
     else:
         need = ("family", "n", "d") + (("seed",) if desc.get("family") == "random" else ())
         missing = [k for k in need if k not in desc]
         if missing:
             raise BadParameters(f"manifest instance lacks {', '.join(missing)}")
+        not_int = [k for k in need[1:] if type(desc[k]) is not int]
+        if not_int:
+            raise BadParameters(f"manifest instance {', '.join(not_int)} not an integer")
         if desc["family"] == "random":
             g = gen_random_regular_digraph(desc["n"], desc["d"], desc["seed"])
         else:
@@ -299,7 +300,7 @@ def _bench_instance(desc: dict) -> tuple[str, object]:
 def _bench_outputs(g, config: dict) -> dict:
     outputs: dict = {}
     digraph = double_undirected(g) if isinstance(g, UndirectedRegularGraph) else g
-    if digraph.n <= int(config.get("oracle_max_n", 8)):
+    if digraph.n <= config.get("oracle_max_n", 8):
         report = build_report(digraph)
         outputs["oracle"] = json.loads(report.to_json())
     cfg = SamplerConfig(
@@ -359,8 +360,16 @@ def cmd_bench(args) -> int:
         raise _Exit(EXIT_IO, f"cannot read manifest: {e}")
     except ValueError as e:  # not JSON, or not UTF-8
         raise _Exit(EXIT_INVALID, f"bad manifest: {e}")
+    if not isinstance(manifest, dict):
+        raise _Exit(EXIT_INVALID, "bad manifest: not a JSON object")
     config = manifest.get("config", {})
     instances = manifest.get("instances", [])
+    if not isinstance(config, dict) or not isinstance(instances, list):
+        raise _Exit(EXIT_INVALID, "bad manifest: config must be an object, instances a list")
+    int_keys = ("samples", "mcmc_steps", "seed", "oracle_max_n")
+    not_int = [k for k in int_keys if k in config and type(config[k]) is not int]
+    if not_int:
+        raise _Exit(EXIT_INVALID, f"bad manifest: config {', '.join(not_int)} not an integer")
     out_path = Path(args.out) if args.out else Path("bench_results.ndjson")
     config_hash = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import InvalidDistribution, OutOfRange, SizeLimitExceeded
-from .exact import ENUMERATION_MAX_COUNT, entropy_loss, iter_factor_sigmas, permanent
-from .graphs import RegularDigraph, require_valid, to_bipartite
+from .exact import entropy_loss, iter_factor_sigmas
+from .graphs import RegularDigraph, require_valid
 
 __all__ = [
     "REVEAL_MAX_N",
@@ -149,10 +149,7 @@ def reveal_audit(g: RegularDigraph) -> RevealAuditReport:
     n, d = g.n, g.d
     if n > REVEAL_MAX_N:
         raise SizeLimitExceeded(f"reveal audit limited to n <= {REVEAL_MAX_N}, got {n}")
-    count = permanent(to_bipartite(g))
-    if count > ENUMERATION_MAX_COUNT:
-        raise SizeLimitExceeded("too many cycle-factors to audit")
-    factors = list(iter_factor_sigmas(g))
+    factors = list(iter_factor_sigmas(g))  # at most n! <= 720
     out_masks = [sum(1 << v for v in row) for row in g.out_adj]
     n_fact = math.factorial(n)
 
@@ -210,5 +207,5 @@ def reveal_audit(g: RegularDigraph) -> RevealAuditReport:
         uniform=not failures,
         tally_failures=tuple(failures),
         aggregated_loss=aggregated,
-        direct_loss=entropy_loss(g, count),
+        direct_loss=entropy_loss(g, len(factors)),
     )

@@ -1,8 +1,9 @@
 """Exact counting and expectation machinery.
 
-Permanent of the 0/1 biadjacency matrix (Ryser, Gray-code order, exact big
-integers), exhaustive cycle-factor enumeration, exact expected cycle count
-as a rational, the matching-count bound audits, and the entropy-loss ledger.
+One counting pass over column sets (``completion_levels``, exact big
+integers, bounded by MAX_STATES states per level), exhaustive cycle-factor
+enumeration, exact expected cycle count as a rational, the matching-count
+bound audits, and the entropy-loss ledger.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from .errors import SizeLimitExceeded
 from .graphs import BipartiteGraph, CycleFactor, RegularDigraph, require_valid, to_bipartite
 
 __all__ = [
-    "PERMANENT_MAX_N",
+    "MAX_STATES",
     "ENUMERATION_MAX_COUNT",
     "BoundCheck",
     "OracleReport",
+    "completion_levels",
     "permanent",
     "enumerate_cycle_factors",
     "iter_factor_sigmas",
@@ -29,7 +31,7 @@ __all__ = [
     "build_report",
 ]
 
-PERMANENT_MAX_N = 24
+MAX_STATES = 1 << 20
 ENUMERATION_MAX_COUNT = 10**6
 
 
@@ -79,81 +81,82 @@ class OracleReport:
         )
 
 
+def completion_levels(out_adj):
+    """Yield levels i = n, n-1, ..., 0: dicts ``used -> ways``, where ``ways``
+    counts the matchings of rows i..n-1 onto the columns outside ``used``
+    (row r may take the columns in ``out_adj[r]``; i is the popcount of
+    ``used``). Each level is pushed down from the one before, starting at
+    {all columns: 1}, and keeps only nonzero entries. Raises
+    SizeLimitExceeded as soon as a level holds more than MAX_STATES sets.
+    """
+    n = len(out_adj)
+    level = {(1 << n) - 1: 1}
+    yield level
+    for i in range(n - 1, -1, -1):
+        bits = [1 << v for v in out_adj[i]]
+        nxt: dict[int, int] = {}
+        for used, ways in level.items():
+            for bit in bits:
+                if used & bit:
+                    key = used ^ bit
+                    nxt[key] = nxt.get(key, 0) + ways
+            if len(nxt) > MAX_STATES:
+                raise SizeLimitExceeded(f"counting level {i} holds over {MAX_STATES} column sets")
+        level = nxt
+        yield level
+
+
 def permanent(bip: BipartiteGraph) -> int:
     """Exact permanent of the 0/1 biadjacency matrix of ``bip``.
 
-    Counts perfect matchings. Ryser inclusion-exclusion over column subsets
-    in Gray-code order; exact in arbitrary-precision integers. Cost is
-    about 2^n * n, so n is capped at PERMANENT_MAX_N.
+    Counts perfect matchings: the level-0 entry of ``completion_levels``,
+    holding two levels at a time. Exact in arbitrary-precision integers.
     """
-    n = bip.n
-    if n > PERMANENT_MAX_N:
-        raise SizeLimitExceeded(f"permanent limited to n <= {PERMANENT_MAX_N}, got {n}")
-    # col_rows[j] = rows adjacent to column j
-    col_rows: list[list[int]] = [[] for _ in range(n)]
-    for u, row in enumerate(bip.adj):
-        for v in row:
-            col_rows[v].append(u)
-    row_sums = [0] * n
-    zero_rows = n
-    total = 0
-    sign = -1 if n % 2 else 1
-    gray = 0
-    for k in range(1, 1 << n):
-        j = (k & -k).bit_length() - 1
-        if gray & (1 << j):
-            delta = -1
-            gray ^= 1 << j
-        else:
-            delta = 1
-            gray ^= 1 << j
-        for i in col_rows[j]:
-            old = row_sums[i]
-            row_sums[i] = old + delta
-            if old == 0:
-                zero_rows -= 1
-            elif old + delta == 0:
-                zero_rows += 1
-        if zero_rows:
-            continue
-        prod = 1
-        for s in row_sums:
-            prod *= s
-        total += prod if gray.bit_count() % 2 == 0 else -prod
-    return sign * total
+    for level in completion_levels(bip.adj):
+        pass
+    return level.get(0, 0)
 
 
 def iter_factor_sigmas(g: RegularDigraph):
     """Yield every permutation sigma with all arcs (i, sigma[i]) in g.
 
-    Recursive matching extension with sorted branching; duplicates are
-    impossible by construction. No feasibility guard; callers wanting one
+    Depth-first matching extension with sorted branching, on an explicit
+    stack of row iterators (rows 0..i of the current partial assignment);
+    duplicates are impossible by construction. No feasibility guard; callers wanting one
     should check the permanent first.
     """
     n = g.n
-    sigma = [0] * n
     out_adj = g.out_adj
+    sigma = [0] * n
     used = 0
-
-    def extend(i: int):
-        nonlocal used
-        if i == n:
-            yield tuple(sigma)
-            return
-        for v in out_adj[i]:
+    stack = [iter(out_adj[0])]
+    while stack:
+        i = len(stack) - 1
+        for v in stack[i]:
             bit = 1 << v
-            if used & bit:
-                continue
-            used |= bit
-            sigma[i] = v
-            yield from extend(i + 1)
-            used ^= bit
-
-    yield from extend(0)
+            if not used & bit:
+                break
+        else:
+            stack.pop()
+            if i:
+                used ^= 1 << sigma[i - 1]
+            continue
+        sigma[i] = v
+        if i + 1 == n:
+            yield tuple(sigma)
+            continue
+        used |= bit
+        stack.append(iter(out_adj[i + 1]))
 
 
 def _guard_enumeration(g: RegularDigraph) -> int:
     require_valid(g)
+    # Van der Waerden (Egorychev, Falikman): count >= n! * d^n / n^n, so a
+    # large lower bound refuses before any counting.
+    if math.factorial(g.n) * g.d**g.n > ENUMERATION_MAX_COUNT * g.n**g.n:
+        raise SizeLimitExceeded(
+            f"instance has over n!(d/n)^n > {ENUMERATION_MAX_COUNT} cycle-factors, past the cap"
+        )
     count = permanent(to_bipartite(g))
     if count > ENUMERATION_MAX_COUNT:
         raise SizeLimitExceeded(

@@ -1,8 +1,9 @@
 """Random cycle-factor generation.
 
 Two backends: an exactly-uniform sequential sampler driven by extension
-counts (feasible up to n = 20), and a lazy near-perfect-matching Markov
-chain on the auxiliary bipartite graph for larger instances. On top of
+counts (bounded by the states its count table holds, see
+``exact.MAX_STATES``), and a lazy near-perfect-matching Markov chain on
+the auxiliary bipartite graph for larger instances. On top of
 both sits the min-of-k selection that keeps the best of several
 independent draws.
 """
@@ -16,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import BadParameters, NoPerfectMatchingFound, SizeLimitExceeded, StepBudgetExhausted
+from .exact import MAX_STATES, completion_levels
 from .graphs import BipartiteGraph, CycleFactor, RegularDigraph, require_valid, to_bipartite
 
 __all__ = [
@@ -123,51 +125,37 @@ def hopcroft_karp(bip: BipartiteGraph) -> list[int]:
 class ExactFactorSampler:
     """Exactly uniform cycle-factor sampler.
 
-    Extension counts N(i, used) = number of ways to complete a partial
-    assignment of vertices 0..i-1 are memoized once; each draw walks the
-    count tree with a single uniform integer, which realises the
-    count-ratio (permanent-ratio) sequential scheme exactly.
+    ``_counts`` holds every level of ``completion_levels``: the number of
+    ways to assign vertices i..n-1 outside a column set ``used`` of size i.
+    Each draw walks the count tree with a single uniform integer, which
+    realises the count-ratio (permanent-ratio) sequential scheme exactly.
+    The table holds at most MAX_STATES entries, enough for any n <= 20.
     """
 
     def __init__(self, g: RegularDigraph):
         require_valid(g)
-        if g.n > EXACT_MAX_N:
-            raise SizeLimitExceeded(
-                f"exact sampler limited to n <= {EXACT_MAX_N}, got {g.n}"
-            )
         self.graph = g
-        self._counts: dict[tuple[int, int], int] = {}
-        self.total = self._count(0, 0)
+        self._counts: dict[int, int] = {}
+        for level in completion_levels(g.out_adj):
+            self._counts.update(level)
+            if len(self._counts) > MAX_STATES:
+                raise SizeLimitExceeded(f"exact sampler table holds over {MAX_STATES} column sets")
+        self.total = self._counts.get(0, 0)
         if self.total == 0:
             raise NoPerfectMatchingFound(
                 "no cycle-factor exists; input cannot be a valid regular digraph"
             )
 
-    def _count(self, i: int, used: int) -> int:
-        if i == self.graph.n:
-            return 1
-        key = (i, used)
-        cached = self._counts.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        for v in self.graph.out_adj[i]:
-            bit = 1 << v
-            if not used & bit:
-                total += self._count(i + 1, used | bit)
-        self._counts[key] = total
-        return total
-
     def sample(self, rng: random.Random) -> CycleFactor:
         r = rng.randrange(self.total)
         sigma = []
         used = 0
-        for i in range(self.graph.n):
-            for v in self.graph.out_adj[i]:
+        for row in self.graph.out_adj:
+            for v in row:
                 bit = 1 << v
                 if used & bit:
                     continue
-                c = self._count(i + 1, used | bit)
+                c = self._counts.get(used | bit, 0)
                 if r < c:
                     sigma.append(v)
                     used |= bit

@@ -169,26 +169,26 @@ def to_tour(cycles: tuple[tuple[int, ...], ...], g: UndirectedRegularGraph) -> T
             u, _ = parent_link[cj]
             detours[cyc_of[u]].setdefault(u, []).append(cj)
 
+    # Work stack, last item first: a vertex to append, or a (cycle, entry)
+    # pair to walk round from entry back to entry, detouring into children.
     walk: list[int] = []
-
-    def emit(ci: int, entry: int) -> None:
-        # Walk cycle ci starting at vertex entry, taking child detours at
-        # their bridge vertex, and end back at entry (unless a singleton).
+    todo: list = [(root, 0)]
+    while todo:
+        item = todo.pop()
+        if not isinstance(item, tuple):
+            walk.append(item)
+            continue
+        ci, entry = item
         cyc = cycles[ci]
-        ln = len(cyc)
         start = cyc.index(entry)
-        order = [cyc[(start + j) % ln] for j in range(ln)]
-        if ln >= 2:
-            order.append(entry)
-        for pos, w in enumerate(order):
-            walk.append(w)
-            if pos < ln or ln == 1:
-                for cj in detours[ci].get(w, ()):
-                    _, child_entry = parent_link[cj]
-                    emit(cj, child_entry)
-                    walk.append(w)
-
-    emit(root, 0)
+        seq: list = []
+        for w in cyc[start:] + cyc[:start]:
+            seq.append(w)
+            for cj in detours[ci].get(w, ()):
+                seq += [(cj, parent_link[cj][1]), w]
+        if len(cyc) >= 2:
+            seq.append(entry)
+        todo += reversed(seq)
     return Tour(tuple(walk))
 
 

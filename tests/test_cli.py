@@ -91,6 +91,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", path)
         assert code == 3
 
+    def test_one_regular_past_any_n_cap(self, tmp_path, capsys):
+        path = tmp_path / "g.digraph"
+        path.write_text("digraph 2000 1\n" + "".join(f"{(i + 1) % 2000}\n" for i in range(2000)))
+        code, out, _ = run(capsys, "verify", path)
+        assert code == 0
+        assert "factors=1 " in out
+
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "verify", "/nonexistent/g.digraph")
         assert code == 4
@@ -119,6 +126,13 @@ class TestFactorCommands:
         assert payload["sigma"] == [1, 2, 0]
         assert payload["cycle_count"] == 1
         assert "base2" in payload["cycle_bound"]
+
+    def test_exact_backend_past_n20(self, tmp_path, capsys):
+        path = tmp_path / "g.graph"
+        write_graph(gen_family("cycle", 40, 2), path)
+        code, out, _ = run(capsys, "cyclefactor", path, "--seed", 1, "--backend", "exact")
+        assert code == 0
+        assert json.loads(out)["backend"] == "exact"
 
     def test_pathfactor_on_k8(self, tmp_path, capsys):
         path = tmp_path / "g.graph"
@@ -285,6 +299,50 @@ class TestBench:
         manifest.write_bytes(b"\xff\xfe")
         code, _, _ = run(capsys, "bench", manifest, "--out", tmp_path / "r.ndjson")
         assert code == 2
+
+    def bench_raw(self, tmp_path, capsys, manifest):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "r.ndjson"
+        code, _, err = run(capsys, "bench", path, "--out", out)
+        return code, err, out
+
+    def test_manifest_not_object(self, tmp_path, capsys):
+        code, err, out = self.bench_raw(tmp_path, capsys, [{"family": "cycle", "n": 6, "d": 2}])
+        assert code == 2
+        assert "not a JSON object" in err
+        assert not out.exists()
+
+    def test_config_not_object(self, tmp_path, capsys):
+        code, err, _ = self.bench_raw(tmp_path, capsys, {"config": [], "instances": []})
+        assert code == 2
+        assert "config must be an object" in err
+
+    @pytest.mark.parametrize("key", ["samples", "mcmc_steps", "seed", "oracle_max_n"])
+    def test_config_value_not_integer(self, tmp_path, capsys, key):
+        manifest = {"config": {key: "4"}, "instances": [{"family": "cycle", "n": 6, "d": 2}]}
+        code, err, out = self.bench_raw(tmp_path, capsys, manifest)
+        assert code == 2
+        assert f"config {key} not an integer" in err
+        assert not out.exists()
+
+    def test_instance_n_not_integer(self, tmp_path, capsys):
+        manifest = {"config": {"samples": 2},
+                    "instances": [{"family": "random", "n": "6", "d": 2, "seed": 1},
+                                  {"family": "cycle", "n": 6, "d": 2}]}
+        code, err, out = self.bench_raw(tmp_path, capsys, manifest)
+        assert code == 2
+        assert json.loads(err)["partial_failures"][0]["error"] == "manifest instance n not an integer"
+        assert len(out.read_text().splitlines()) == 1
+
+    def test_instance_not_object(self, tmp_path, capsys):
+        manifest = {"config": {"samples": 2},
+                    "instances": [5, {"family": "cycle", "n": 6, "d": 2}]}
+        code, err, out = self.bench_raw(tmp_path, capsys, manifest)
+        assert code == 2
+        assert json.loads(err)["partial_failures"][0] == {
+            "instance": 5, "error": "manifest instance is not an object"}
+        assert len(out.read_text().splitlines()) == 1
 
     def test_csv_export(self, tmp_path, capsys):
         manifest = self.manifest(tmp_path)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclefactor import exact
 from cyclefactor.errors import SizeLimitExceeded
 from cyclefactor.exact import (
     audit_bounds,
@@ -18,6 +19,7 @@ from cyclefactor.exact import (
 from cyclefactor.graphs import (
     BipartiteGraph,
     RegularDigraph,
+    double_undirected,
     gen_family,
     gen_random_regular_digraph,
     to_bipartite,
@@ -87,10 +89,22 @@ class TestPermanent:
             )
             assert permanent(relabelled) == base
 
-    def test_size_limit(self):
-        big = BipartiteGraph(25, 1, tuple((i,) for i in range(25)))
+    def test_state_budget(self, monkeypatch):
+        # K8's middle level holds C(8, 4) = 70 column sets.
+        monkeypatch.setattr(exact, "MAX_STATES", 69)
         with pytest.raises(SizeLimitExceeded):
-            permanent(big)
+            permanent(to_bipartite(complete_loops(8)))
+        monkeypatch.setattr(exact, "MAX_STATES", 70)
+        assert permanent(to_bipartite(complete_loops(8))) == math.factorial(8)
+
+    def test_one_regular_past_any_n_cap(self):
+        assert permanent(to_bipartite(directed_cycle(5000))) == 1
+
+    def test_doubled_c40(self):
+        # Both orientations of the Hamilton cycle, and the two digon
+        # factors from the two perfect matchings of C40.
+        doubled = double_undirected(gen_family("cycle", 40, 2))
+        assert permanent(to_bipartite(doubled)) == 4
 
 
 class TestEnumeration:

@@ -5,9 +5,15 @@ from collections import Counter
 
 import pytest
 
+from cyclefactor import sampling
 from cyclefactor.errors import BadParameters, SizeLimitExceeded
 from cyclefactor.exact import enumerate_cycle_factors, exact_expected_cycles
-from cyclefactor.graphs import RegularDigraph, gen_family, gen_random_regular_digraph
+from cyclefactor.graphs import (
+    RegularDigraph,
+    double_undirected,
+    gen_family,
+    gen_random_regular_digraph,
+)
 from cyclefactor.sampling import (
     ExactFactorSampler,
     MCMCFactorSampler,
@@ -96,9 +102,20 @@ class TestExactSampler:
         sigma = statistics.stdev(obs) / math.sqrt(draws)
         assert abs(mean - exp) <= 4 * sigma
 
-    def test_size_limit(self):
+    def test_state_budget(self, monkeypatch):
+        # K8's table holds all 2^8 = 256 column sets; no level holds more than 70.
+        monkeypatch.setattr(sampling, "MAX_STATES", 255)
         with pytest.raises(SizeLimitExceeded):
-            ExactFactorSampler(gen_random_regular_digraph(21, 2, 0))
+            ExactFactorSampler(complete_loops(8))
+        monkeypatch.setattr(sampling, "MAX_STATES", 256)
+        assert ExactFactorSampler(complete_loops(8)).total == math.factorial(8)
+
+    def test_doubled_c40_past_n20(self):
+        doubled = double_undirected(gen_family("cycle", 40, 2))
+        sampler = ExactFactorSampler(doubled)
+        assert sampler.total == 4
+        rng = random.Random(0)
+        assert all(sampler.sample(rng).is_factor_of(doubled) for _ in range(20))
 
 
 class TestMCMCSampler:

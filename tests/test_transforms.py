@@ -125,6 +125,14 @@ class TestTour:
         assert verify_path_factor(pf, g).ok
         assert pf.num_paths >= 8 // (3 + 1)
 
+    def test_long_digon_factor(self):
+        # 3000 digons in a path of detours, deeper than the recursion limit.
+        c = gen_family("cycle", 6000, 2)
+        cycles = tuple((2 * i, 2 * i + 1) for i in range(3000))
+        t = to_tour(cycles, c)
+        assert verify_tour(t, c).ok
+        assert t.length == 6000 + 2 * (3000 - 1)
+
     def test_incomplete_cover_rejected(self):
         c4 = gen_family("cycle", 4, 2)
         with pytest.raises(BadParameters):
