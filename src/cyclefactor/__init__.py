@@ -17,8 +17,6 @@ from .graphs import (
     gen_random_regular_digraph,
     read_graph,
     to_bipartite,
-    validate_digraph,
-    validate_undirected,
     write_graph,
 )
 from .exact import (

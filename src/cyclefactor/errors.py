@@ -78,10 +78,6 @@ class GraphDisconnected(CycleFactorError):
     pass
 
 
-class LoopEncountered(CycleFactorError):
-    pass
-
-
 class InvalidDistribution(CycleFactorError):
     pass
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeLimitExceeded
-from .graphs import BipartiteGraph, CycleFactor, RegularDigraph, require_valid, to_bipartite
+from .graphs import BipartiteGraph, CycleFactor, RegularDigraph, to_bipartite
 
 __all__ = [
     "MAX_STATES",
@@ -150,7 +150,6 @@ def iter_factor_sigmas(g: RegularDigraph):
 
 
 def _guard_enumeration(g: RegularDigraph) -> int:
-    require_valid(g)
     # Van der Waerden (Egorychev, Falikman): count >= n! * d^n / n^n, so a
     # large lower bound refuses before any counting.
     if math.factorial(g.n) * g.d**g.n > ENUMERATION_MAX_COUNT * g.n**g.n:
@@ -207,7 +206,6 @@ def exact_expected_cycles(g: RegularDigraph) -> Fraction:
 
 def entropy_loss(g: RegularDigraph, matching_count: int | None = None) -> float:
     """Gap (in bits) between (n/d)*log2(d!) and log2(#cycle-factors)."""
-    require_valid(g)
     if matching_count is None:
         matching_count = permanent(to_bipartite(g))
     if g.n % g.d == 0:
@@ -230,7 +228,6 @@ def audit_bounds(
     E[cycles] <= 4*(n/d)*(log2 d + 1) in floats. Cached inputs may be
     passed to avoid recomputation.
     """
-    require_valid(g)
     n, d = g.n, g.d
     if matching_count is None:
         matching_count = permanent(to_bipartite(g))
@@ -268,7 +265,6 @@ def audit_bounds(
 
 def build_report(g: RegularDigraph) -> OracleReport:
     """Full exact report: counts, expectation, entropy loss, bound audit."""
-    require_valid(g)
     count, cycle_sum = factor_census(g)
     expected = Fraction(cycle_sum, count)
     return OracleReport(

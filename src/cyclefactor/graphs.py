@@ -1,21 +1,24 @@
 """Graph data types, validation, generators, and the on-disk text format.
 
-All graphs use 0-based vertex indices and store adjacency lists sorted,
-so structural equality of the dataclasses is canonical graph equality.
-Directed graphs may contain loops and digons but never parallel edges;
-undirected graphs are always simple.
+All graphs use 0-based vertex indices and store adjacency rows strictly
+increasing, so structural equality of the dataclasses is canonical graph
+equality. Directed graphs may contain loops and digons but never parallel
+edges; undirected graphs are always simple. Both graph types check these
+invariants once, when built, so a graph that exists is valid.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
     AsymmetricEdge,
     BadParameters,
+    CycleFactorError,
     DegreeMismatch,
     DuplicateEdge,
     FormatMismatch,
@@ -30,9 +33,6 @@ __all__ = [
     "UndirectedRegularGraph",
     "BipartiteGraph",
     "CycleFactor",
-    "Verdict",
-    "validate_digraph",
-    "validate_undirected",
     "require_valid",
     "to_bipartite",
     "double_undirected",
@@ -49,33 +49,40 @@ class RegularDigraph:
     """A d-regular directed graph on n vertices.
 
     Every vertex has out-degree and in-degree exactly d. Loops and digons
-    are permitted; parallel edges are not. ``out_adj[i]`` is the sorted
-    tuple of out-neighbours of vertex ``i``.
+    are permitted; parallel edges are not. ``out_adj[i]`` is the strictly
+    increasing tuple of out-neighbours of vertex ``i``. Building one that
+    breaks any of this raises (see ``require_valid``).
     """
 
     n: int
     d: int
     out_adj: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        require_valid(self)
+
     @classmethod
     def from_lists(cls, n: int, d: int, out_adj) -> "RegularDigraph":
         return cls(n, d, tuple(tuple(sorted(row)) for row in out_adj))
 
     def has_edge(self, u: int, v: int) -> bool:
-        import bisect
-
         row = self.out_adj[u]
-        k = bisect.bisect_left(row, v)
+        k = bisect_left(row, v)
         return k < len(row) and row[k] == v
 
 
 @dataclass(frozen=True)
 class UndirectedRegularGraph:
-    """A simple d-regular undirected graph; ``adj[i]`` sorted neighbours."""
+    """A simple d-regular undirected graph; ``adj[i]`` is the strictly
+    increasing tuple of neighbours of ``i``. Building one that breaks any
+    of this raises (see ``require_valid``)."""
 
     n: int
     d: int
     adj: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        require_valid(self)
 
     @classmethod
     def from_lists(cls, n: int, d: int, adj) -> "UndirectedRegularGraph":
@@ -165,103 +172,89 @@ class CycleFactor:
     def num_cycles(self) -> int:
         return len(self.cycles)
 
-    def is_factor_of(self, g: RegularDigraph) -> bool:
+    def is_factor_of(self, g: RegularDigraph | UndirectedRegularGraph) -> bool:
+        """Every arc (i, sigma(i)) is in g; an undirected g stands for its
+        doubled digraph."""
         return len(self.sigma) == g.n and all(
             g.has_edge(i, v) for i, v in enumerate(self.sigma)
         )
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a validation check; carries the first violation found."""
-
-    ok: bool
-    reason: str = ""
-    error: Exception | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _verdict(err: GraphError) -> Verdict:
-    return Verdict(False, str(err), err)
-
-
-def validate_digraph(g: RegularDigraph) -> Verdict:
-    """Check all RegularDigraph invariants; report the first violation."""
-    if not (1 <= g.d <= g.n):
-        return _verdict(BadParameters(f"need 1 <= d <= n, got d={g.d}, n={g.n}"))
-    if len(g.out_adj) != g.n:
-        return _verdict(BadParameters("adjacency row count != n"))
-    in_deg = [0] * g.n
-    for u, row in enumerate(g.out_adj):
-        if len(row) != g.d:
-            return _verdict(DegreeMismatch(u, len(row), g.d, kind="out"))
-        prev = -1
-        for v in row:
-            if not 0 <= v < g.n:
-                return _verdict(IndexOutOfRange(v, g.n))
-            if v == prev:
-                return _verdict(DuplicateEdge(u, v))
-            prev = v
-            in_deg[v] += 1
-    for v, deg in enumerate(in_deg):
-        if deg != g.d:
-            return _verdict(DegreeMismatch(v, deg, g.d, kind="in"))
-    return Verdict(True)
-
-
-def validate_undirected(g: UndirectedRegularGraph) -> Verdict:
-    """Check all UndirectedRegularGraph invariants (simple, regular, symmetric)."""
-    if not (1 <= g.d <= g.n):
-        return _verdict(BadParameters(f"need 1 <= d <= n, got d={g.d}, n={g.n}"))
-    if len(g.adj) != g.n:
-        return _verdict(BadParameters("adjacency row count != n"))
-    neigh_sets = []
-    for u, row in enumerate(g.adj):
-        if len(row) != g.d:
-            return _verdict(DegreeMismatch(u, len(row), g.d, kind="degree"))
-        prev = -1
-        for v in row:
-            if not 0 <= v < g.n:
-                return _verdict(IndexOutOfRange(v, g.n))
-            if v == u:
-                return _verdict(LoopNotAllowed(u))
-            if v == prev:
-                return _verdict(DuplicateEdge(u, v))
-            prev = v
-        neigh_sets.append(set(row))
-    for u in range(g.n):
-        for v in g.adj[u]:
-            if u not in neigh_sets[v]:
-                return _verdict(AsymmetricEdge(u, v))
-    return Verdict(True)
-
-
 def require_valid(g) -> None:
-    """Raise the first invariant violation of g, if any."""
+    """Raise the first invariant violation of g, if any.
+
+    Both graph types call this when built. Rows must be strictly
+    increasing (``has_edge`` bisects them), have exactly d entries in
+    [0, n), and give every vertex in-degree d; undirected rows must also
+    be loop-free and symmetric.
+    """
     if isinstance(g, RegularDigraph):
-        v = validate_digraph(g)
+        rows, directed = g.out_adj, True
     elif isinstance(g, UndirectedRegularGraph):
-        v = validate_undirected(g)
+        rows, directed = g.adj, False
     else:
         raise BadParameters(f"unsupported graph type {type(g).__name__}")
-    if not v.ok:
-        raise v.error
+    n, d = g.n, g.d
+    if not (1 <= d <= n):
+        raise BadParameters(f"need 1 <= d <= n, got d={d}, n={n}")
+    if len(rows) != n:
+        raise BadParameters("adjacency row count != n")
+    # One chained comparison per entry checks range and order at once;
+    # _entry_fault names the fault of the entry that fails it.
+    if directed:
+        in_deg = [0] * n
+        for u, row in enumerate(rows):
+            if len(row) != d:
+                raise DegreeMismatch(u, len(row), d, kind="out")
+            prev = -1
+            for v in row:
+                if not prev < v < n:
+                    raise _entry_fault(u, v, prev, n, loops=True)
+                in_deg[v] += 1
+                prev = v
+        for v, deg in enumerate(in_deg):
+            if deg != d:
+                raise DegreeMismatch(v, deg, d, kind="in")
+        return
+    for u, row in enumerate(rows):
+        if len(row) != d:
+            raise DegreeMismatch(u, len(row), d, kind="degree")
+        prev = -1
+        for v in row:
+            if not prev < v < n or v == u:
+                raise _entry_fault(u, v, prev, n, loops=False)
+            prev = v
+    # Symmetric rows of length d give every vertex in-degree d.
+    for u, row in enumerate(rows):
+        for v in row:
+            back = rows[v]
+            k = bisect_left(back, u)
+            if k == d or back[k] != u:
+                raise AsymmetricEdge(u, v)
+
+
+def _entry_fault(u: int, v: int, prev: int, n: int, loops: bool) -> CycleFactorError:
+    """What is wrong with entry v of row u, after prev, when the entries
+    before it are in range, increasing and loop-free."""
+    if not 0 <= v < n:
+        return IndexOutOfRange(v, n)
+    if v == u and not loops:
+        return LoopNotAllowed(u)
+    if v == prev:
+        return DuplicateEdge(u, v)
+    return BadParameters(f"row {u} is not strictly increasing")
 
 
 def to_bipartite(g: RegularDigraph) -> BipartiteGraph:
     """Build the auxiliary bipartite graph whose perfect matchings are the
     cycle-factors of g: U-side vertex u connects to V-side vertex v exactly
     when (u, v) is an arc of g."""
-    require_valid(g)
     return BipartiteGraph(g.n, g.d, g.out_adj)
 
 
 def double_undirected(g: UndirectedRegularGraph) -> RegularDigraph:
     """Direct every edge of g in both directions. The result is d-regular
     and loop-free; every arc's reverse is present."""
-    require_valid(g)
     return RegularDigraph(g.n, g.d, g.adj)
 
 
@@ -432,15 +425,11 @@ def parse_graph(text: str):
         if len(row) != d:
             raise ParseError(lineno, f"expected {d} neighbours, found {len(row)}")
         rows.append(row)
-    if parts[0] == "digraph":
-        g = RegularDigraph.from_lists(n, d, rows)
-        v = validate_digraph(g)
-    else:
-        g = UndirectedRegularGraph.from_lists(n, d, rows)
-        v = validate_undirected(g)
-    if not v.ok:
-        raise FormatMismatch(v.reason)
-    return g
+    cls = RegularDigraph if parts[0] == "digraph" else UndirectedRegularGraph
+    try:
+        return cls.from_lists(n, d, rows)
+    except (GraphError, BadParameters) as e:
+        raise FormatMismatch(str(e)) from None
 
 
 def read_graph(path):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import BadParameters, NoPerfectMatchingFound, SizeLimitExceeded, StepBudgetExhausted
 from .exact import MAX_STATES, completion_levels
-from .graphs import BipartiteGraph, CycleFactor, RegularDigraph, require_valid, to_bipartite
+from .graphs import BipartiteGraph, CycleFactor, RegularDigraph, to_bipartite
 
 __all__ = [
     "EXACT_MAX_N",
@@ -78,14 +78,19 @@ class SamplerConfig:
 
 def hopcroft_karp(bip: BipartiteGraph) -> list[int]:
     """Maximum matching of a bipartite graph; returns V-partner per U vertex
-    (-1 for unmatched). Deterministic: vertices scanned in index order."""
+    (-1 for unmatched). Deterministic: vertices scanned in index order.
+
+    Each phase layers the graph by BFS from the free U vertices, then
+    searches augmenting paths depth-first from each free U vertex in
+    order. The search keeps its path on explicit stacks, so path length
+    is not limited by Python's recursion depth.
+    """
     n = bip.n
     adj = bip.adj
     match_u = [-1] * n
     match_v = [-1] * n
     INF = n + 1
-
-    def bfs() -> bool:
+    while True:
         dist = [INF] * n
         queue = deque()
         for u in range(n):
@@ -102,24 +107,44 @@ def hopcroft_karp(bip: BipartiteGraph) -> list[int]:
                 elif dist[w] == INF:
                     dist[w] = dist[u] + 1
                     queue.append(w)
-        bfs.dist = dist
-        return found
-
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_v[v]
-            if w == -1 or (bfs.dist[w] == bfs.dist[u] + 1 and dfs(w)):
-                match_u[u] = v
-                match_v[v] = u
-                return True
-        bfs.dist[u] = n + 1
-        return False
-
-    while bfs():
-        for u in range(n):
-            if match_u[u] == -1:
-                dfs(u)
-    return match_u
+        if not found:
+            return match_u
+        # Depth-first along the layers from each free row in turn, as a
+        # recursion on rows would: path holds the rows above u, cols the
+        # column taken from each, scans where each row's scan resumes.
+        path: list[int] = []
+        cols: list[int] = []
+        scans = []
+        for root in range(n):
+            if match_u[root] != -1:
+                continue
+            u, scan = root, iter(adj[root])
+            while True:
+                for v in scan:
+                    w = match_v[v]
+                    if w == -1 or dist[w] == dist[u] + 1:
+                        break
+                else:
+                    dist[u] = INF  # a dead end for the rest of this phase
+                    if not path:
+                        break
+                    u, scan = path.pop(), scans.pop()
+                    cols.pop()
+                    continue
+                if w != -1:
+                    path.append(u)
+                    cols.append(v)
+                    scans.append(scan)
+                    u, scan = w, iter(adj[w])
+                    continue
+                while True:  # v is free: flip the path back to the root
+                    match_u[u] = v
+                    match_v[v] = u
+                    if not path:
+                        break
+                    u, v = path.pop(), cols.pop()
+                scans.clear()
+                break
 
 
 class ExactFactorSampler:
@@ -133,7 +158,6 @@ class ExactFactorSampler:
     """
 
     def __init__(self, g: RegularDigraph):
-        require_valid(g)
         self.graph = g
         self._counts: dict[int, int] = {}
         for level in completion_levels(g.out_adj):
@@ -179,7 +203,6 @@ class MCMCFactorSampler:
     """
 
     def __init__(self, g: RegularDigraph, steps: int):
-        require_valid(g)
         if steps < 1:
             raise BadParameters("step budget must be positive")
         self.graph = g
@@ -297,7 +320,6 @@ def min_cycle_factor(g: RegularDigraph, cfg: SamplerConfig | None = None) -> Min
     attains the minimum.
     """
     cfg = cfg or SamplerConfig()
-    require_valid(g)
     backend = cfg.resolve_backend(g.n)
     sampler = _make_sampler(g, cfg, backend)
     k = cfg.resolve_num_samples(g.n)

@@ -14,8 +14,8 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import BadParameters, GraphDisconnected, LoopEncountered
-from .graphs import CycleFactor, UndirectedRegularGraph, double_undirected, require_valid
+from .errors import BadParameters, GraphDisconnected
+from .graphs import CycleFactor, UndirectedRegularGraph
 
 __all__ = [
     "PathFactor",
@@ -74,18 +74,12 @@ def to_undirected_cycle_factor(
     """Interpret a cycle-factor of the doubled digraph as undirected cycles.
 
     Directed cycles of length >= 3 become undirected cycles; digons become
-    single-edge 2-cycles [u, v]. The result partitions the vertex set.
+    single-edge 2-cycles [u, v]. The result partitions the vertex set;
+    g has no loops, so it has no 1-cycles.
     """
-    require_valid(g)
-    doubled = double_undirected(g)
-    if not cf.is_factor_of(doubled):
+    if not cf.is_factor_of(g):
         raise BadParameters("input is not a cycle-factor of the doubled graph")
-    cycles = []
-    for cyc in cf.cycles:
-        if len(cyc) == 1:
-            raise LoopEncountered(f"loop at vertex {cyc[0]} in a doubled digraph")
-        cycles.append(cyc)
-    return tuple(cycles)
+    return cf.cycles
 
 
 def _cycle_edges(cyc: tuple[int, ...]):
@@ -105,7 +99,6 @@ def to_path_factor(
     stays a 1-vertex path. In longer cycles the removed edge is the one
     whose endpoint pair is largest, for determinism.
     """
-    require_valid(g)
     paths = []
     for cyc in cycles:
         if len(cyc) <= 2:
@@ -126,7 +119,6 @@ def to_tour(cycles: tuple[tuple[int, ...], ...], g: UndirectedRegularGraph) -> T
     child cycle and back. The walk traverses every cycle once and every
     tree edge twice, so its length is at most n + 2(c - 1).
     """
-    require_valid(g)
     if not g.is_connected():
         raise GraphDisconnected("tour construction needs a connected graph")
     cyc_of = [-1] * g.n

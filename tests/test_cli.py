@@ -3,7 +3,8 @@ import json
 import pytest
 
 from cyclefactor.cli import main
-from cyclefactor.graphs import gen_family, read_graph, write_graph
+from cyclefactor.graphs import RegularDigraph, gen_family, read_graph, to_bipartite, write_graph
+from cyclefactor.sampling import hopcroft_karp
 
 
 def run(capsys, *argv):
@@ -126,6 +127,26 @@ class TestFactorCommands:
         assert payload["sigma"] == [1, 2, 0]
         assert payload["cycle_count"] == 1
         assert "base2" in payload["cycle_bound"]
+
+    def test_mcmc_long_augmenting_path(self, tmp_path, capsys):
+        # Rows u_i ~ columns v_i, v_{i+1}: the bipartite graph is one
+        # 2n-cycle. This labelling makes Hopcroft-Karp's last augmenting
+        # path about n/2 rows long, past Python's recursion limit.
+        n, h = 4000, 2000
+        col = [n - 1] + [n - 1 - i if i <= h else i - h - 1 for i in range(1, n)]
+        row = [i if i < h else (n - 1 if i == h else i - 1) for i in range(n)]
+        adj = [()] * n
+        for i in range(n):
+            adj[row[i]] = tuple(sorted((col[i], col[(i + 1) % n])))
+        g = RegularDigraph(n, 2, tuple(adj))
+        assert sorted(hopcroft_karp(to_bipartite(g))) == list(range(n))
+        path = tmp_path / "g.digraph"
+        write_graph(g, path)
+        code, _, _ = run(
+            capsys, "cyclefactor", path, "--seed", 1, "--backend", "mcmc",
+            "--mcmc-steps", 10, "--samples", 1, "--out", tmp_path / "out.json",
+        )
+        assert code == 0
 
     def test_exact_backend_past_n20(self, tmp_path, capsys):
         path = tmp_path / "g.graph"
@@ -293,6 +314,18 @@ class TestBench:
         code, _, err = run(capsys, "bench", manifest, "--out", tmp_path / "r.ndjson")
         assert code == 2
         assert "partial_failures" in err
+
+    def test_missing_graph_file_is_partial_failure(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "instances": [{"path": "/nonexistent/g.digraph"},
+                          {"family": "cycle", "n": 6, "d": 2}],
+        }))
+        out = tmp_path / "r.ndjson"
+        code, _, err = run(capsys, "bench", manifest, "--out", out)
+        assert code == 2
+        assert "No such file" in json.loads(err)["partial_failures"][0]["error"]
+        assert len(out.read_text().splitlines()) == 1
 
     def test_manifest_not_utf8(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"

@@ -12,6 +12,7 @@ from cyclefactor.errors import (
     DuplicateEdge,
     FormatMismatch,
     IndexOutOfRange,
+    LoopNotAllowed,
     ParseError,
 )
 from cyclefactor.graphs import (
@@ -25,8 +26,6 @@ from cyclefactor.graphs import (
     parse_graph,
     read_graph,
     to_bipartite,
-    validate_digraph,
-    validate_undirected,
     write_graph,
 )
 
@@ -57,47 +56,49 @@ def all_regular_digraphs(n, d, loops):
 
 class TestValidateDigraph:
     def test_single_loop_is_valid(self):
-        g = RegularDigraph(1, 1, ((0,),))
-        assert validate_digraph(g).ok
+        RegularDigraph(1, 1, ((0,),))
 
     def test_in_degree_mismatch(self):
-        g = RegularDigraph(2, 1, ((1,), (1,)))
-        v = validate_digraph(g)
-        assert not v.ok
-        assert isinstance(v.error, DegreeMismatch)
-        assert v.error.kind == "in"
+        with pytest.raises(DegreeMismatch) as e:
+            RegularDigraph(2, 1, ((1,), (1,)))
+        assert e.value.kind == "in"
 
     def test_complete_with_loops_valid(self):
-        assert validate_digraph(complete_loops(3)).ok
+        complete_loops(3)
 
     def test_duplicate_edge(self):
-        g = RegularDigraph(2, 2, ((0, 0), (0, 1)))
-        v = validate_digraph(g)
-        assert isinstance(v.error, DuplicateEdge)
+        with pytest.raises(DuplicateEdge):
+            RegularDigraph(2, 2, ((0, 0), (0, 1)))
 
     def test_index_out_of_range(self):
-        g = RegularDigraph(2, 1, ((5,), (0,)))
-        v = validate_digraph(g)
-        assert isinstance(v.error, IndexOutOfRange)
+        with pytest.raises(IndexOutOfRange):
+            RegularDigraph(2, 1, ((5,), (0,)))
 
     def test_out_degree_mismatch(self):
-        g = RegularDigraph(2, 2, ((0,), (0, 1)))
-        v = validate_digraph(g)
-        assert isinstance(v.error, DegreeMismatch)
+        with pytest.raises(DegreeMismatch):
+            RegularDigraph(2, 2, ((0,), (0, 1)))
+
+    def test_unsorted_row_rejected(self):
+        # has_edge bisects rows, so (1, 0) would hide the loop at 0.
+        with pytest.raises(BadParameters, match="row 0 is not strictly increasing"):
+            RegularDigraph(2, 2, ((1, 0), (0, 1)))
 
 
 class TestValidateUndirected:
     def test_cycle_valid(self):
-        assert validate_undirected(gen_family("cycle", 6, 2)).ok
+        gen_family("cycle", 6, 2)
 
     def test_asymmetric_rejected(self):
-        g = UndirectedRegularGraph(3, 1, ((1,), (2,), (0,)))
-        v = validate_undirected(g)
-        assert isinstance(v.error, (AsymmetricEdge, DegreeMismatch))
+        with pytest.raises((AsymmetricEdge, DegreeMismatch)):
+            UndirectedRegularGraph(3, 1, ((1,), (2,), (0,)))
 
     def test_loop_rejected(self):
-        g = UndirectedRegularGraph(2, 1, ((0,), (1,)))
-        assert not validate_undirected(g).ok
+        with pytest.raises(LoopNotAllowed):
+            UndirectedRegularGraph(2, 1, ((0,), (1,)))
+
+    def test_unsorted_row_rejected(self):
+        with pytest.raises(BadParameters, match="row 0 is not strictly increasing"):
+            UndirectedRegularGraph(4, 2, ((3, 1), (0, 2), (1, 3), (0, 2)))
 
 
 class TestToBipartite:
@@ -125,7 +126,6 @@ class TestDoubleUndirected:
     def test_c4(self):
         g = double_undirected(gen_family("cycle", 4, 2))
         assert sum(len(r) for r in g.out_adj) == 8
-        assert validate_digraph(g).ok
 
     def test_k4(self):
         g = double_undirected(gen_family("clique_union", 4, 3))
@@ -149,13 +149,11 @@ class TestRandomGenerator:
         assert g == complete_loops(4)
 
     def test_small_instance_valid(self):
-        g = gen_random_regular_digraph(6, 2, 1)
-        assert validate_digraph(g).ok
+        gen_random_regular_digraph(6, 2, 1)
 
     def test_d1_is_single_permutation(self):
         g = gen_random_regular_digraph(4, 1, 7)
         assert all(len(row) == 1 for row in g.out_adj)
-        assert validate_digraph(g).ok
 
     def test_deterministic(self):
         assert gen_random_regular_digraph(8, 3, 5) == gen_random_regular_digraph(8, 3, 5)
@@ -165,8 +163,7 @@ class TestRandomGenerator:
         for seed in range(1000):
             n = rng.randint(1, 50)
             d = rng.randint(1, min(n, 6))
-            g = gen_random_regular_digraph(n, d, seed)
-            assert validate_digraph(g).ok, (n, d, seed)
+            gen_random_regular_digraph(n, d, seed)
 
     def test_no_loops_flag(self):
         g = gen_random_regular_digraph(8, 2, 3, allow_loops=False)
@@ -212,7 +209,6 @@ class TestRandomGenerator:
                     g = gen_random_regular_digraph(
                         n, d, n * d, allow_loops=loops, allow_digons=digons
                     )
-                    assert validate_digraph(g).ok, case
                     arcs = {(u, v) for u, row in enumerate(g.out_adj) for v in row}
                     assert loops or all(u != v for u, v in arcs), case
                     assert digons or all(u == v or (v, u) not in arcs for u, v in arcs), case
@@ -234,11 +230,9 @@ class TestFamilies:
     def test_complete_loops_blocks(self):
         g = gen_family("complete_loops", 6, 3)
         assert g.out_adj[0] == (0, 1, 2) and g.out_adj[5] == (3, 4, 5)
-        assert validate_digraph(g).ok
 
     def test_clique_union_two_k4(self):
         g = gen_family("clique_union", 8, 3)
-        assert validate_undirected(g).ok
         assert g.adj[0] == (1, 2, 3) and g.adj[4] == (5, 6, 7)
         assert not g.is_connected()
 
@@ -249,7 +243,6 @@ class TestFamilies:
 
     def test_complete_bipartite_like(self):
         g = gen_family("complete_bipartite_like", 8, 2)
-        assert validate_undirected(g).ok
         assert g.adj[0] == (2, 3)
 
     @pytest.mark.parametrize(
