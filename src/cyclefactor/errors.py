@@ -66,10 +66,6 @@ class SizeLimitExceeded(CycleFactorError):
     pass
 
 
-class NoPerfectMatchingFound(CycleFactorError):
-    pass
-
-
 class StepBudgetExhausted(CycleFactorError):
     pass
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import BadParameters, NoPerfectMatchingFound, SizeLimitExceeded, StepBudgetExhausted
+from .errors import BadParameters, SizeLimitExceeded, StepBudgetExhausted
 from .exact import MAX_STATES, completion_levels
 from .graphs import BipartiteGraph, CycleFactor, RegularDigraph, to_bipartite
 
@@ -165,10 +164,6 @@ class ExactFactorSampler:
             if len(self._counts) > MAX_STATES:
                 raise SizeLimitExceeded(f"exact sampler table holds over {MAX_STATES} column sets")
         self.total = self._counts.get(0, 0)
-        if self.total == 0:
-            raise NoPerfectMatchingFound(
-                "no cycle-factor exists; input cannot be a valid regular digraph"
-            )
 
     def sample(self, rng: random.Random) -> CycleFactor:
         r = rng.randrange(self.total)
@@ -198,8 +193,9 @@ class MCMCFactorSampler:
     removed; from a 2-hole state an edge incident to a hole is added or
     rotated, uniformly among such edges. Every step is lazy with
     probability 1/2. Each draw restarts from a deterministic maximum
-    matching, runs the configured burn-in, and returns the first perfect
-    state at or after it.
+    matching, runs the configured burn-in (``steps``), and returns the
+    first perfect state at or after it. A draw that meets no perfect state
+    within 101 * ``steps`` steps raises ``StepBudgetExhausted``.
     """
 
     def __init__(self, g: RegularDigraph, steps: int):
@@ -211,16 +207,23 @@ class MCMCFactorSampler:
         self._adj = bip.adj
         self._in_adj = bip.in_adj()
         self._out_sets = [set(row) for row in bip.adj]
+        # g is d-regular with d >= 1, so by König's theorem this is perfect.
         self._init_match = hopcroft_karp(bip)
-        if -1 in self._init_match:
-            raise NoPerfectMatchingFound(
-                "maximum matching is not perfect; input violates regularity"
-            )
 
     def sample(self, rng: random.Random) -> CycleFactor:
+        """One draw from ``rng``'s stream.
+
+        Each move is drawn as CPython 3.11's ``rng.randrange(w)`` draws it
+        (``Random._randbelow_with_getrandbits``): ``getrandbits(k)`` with
+        k = w.bit_length(), drawn again while it is >= w. The draw is
+        inlined here for speed; ``test_sampling`` checks that it still
+        matches ``randrange``, since a seed's draws depend on it.
+        """
         n = self.graph.n
+        d = self.graph.d
         adj = self._adj
         in_adj = self._in_adj
+        out_sets = self._out_sets
         match_u = list(self._init_match)
         match_v = [-1] * n
         for u, v in enumerate(match_u):
@@ -230,29 +233,38 @@ class MCMCFactorSampler:
         budget = self.steps
         limit = budget + 100 * budget
         rnd = rng.random
-        rr = rng.randrange
-        step = 0
-        while step < limit:
-            step += 1
-            if step > budget and hole_u == -1:
+        bits = rng.getrandbits
+        # Every row has d entries, so a perfect state has n moves and a
+        # 2-hole state 2d, or 2d - 1 when the add edge (hole_u, hole_v)
+        # appears in both hole rows and is counted once.
+        bits_n = n.bit_length()
+        w_apart, bits_apart = 2 * d, (2 * d).bit_length()
+        w_shared, bits_shared = 2 * d - 1, (2 * d - 1).bit_length()
+        for step in range(limit):
+            if hole_u == -1 and step >= budget:
                 return CycleFactor.from_sigma(match_u)
             if rnd() < 0.5:
                 continue
             if hole_u == -1:
-                u = rr(n)
+                u = bits(bits_n)
+                while u >= n:
+                    u = bits(bits_n)
                 v = match_u[u]
                 match_u[u] = -1
                 match_v[v] = -1
                 hole_u, hole_v = u, v
             else:
-                out_row = adj[hole_u]
-                in_row = in_adj[hole_v]
-                # The add edge (hole_u, hole_v) would appear in both rows;
-                # count it once so every legal move has equal weight.
-                overlap = hole_v in self._out_sets[hole_u]
-                k = rr(len(out_row) + len(in_row) - overlap)
-                if k < len(out_row):
-                    v = out_row[k]
+                overlap = hole_v in out_sets[hole_u]
+                if overlap:
+                    k = bits(bits_shared)
+                    while k >= w_shared:
+                        k = bits(bits_shared)
+                else:
+                    k = bits(bits_apart)
+                    while k >= w_apart:
+                        k = bits(bits_apart)
+                if k < d:
+                    v = adj[hole_u][k]
                     if v == hole_v:
                         match_u[hole_u] = v
                         match_v[v] = hole_u
@@ -264,12 +276,12 @@ class MCMCFactorSampler:
                         match_u[u2] = -1
                         hole_u = u2
                 else:
-                    k2 = k - len(out_row)
-                    if overlap:
-                        idx = bisect_left(in_row, hole_u)
-                        if k2 >= idx:
-                            k2 += 1
-                    u2 = in_row[k2]
+                    in_row = in_adj[hole_v]
+                    k -= d
+                    # Rows are sorted and distinct: skip hole_u, counted above.
+                    if overlap and in_row[k] >= hole_u:
+                        k += 1
+                    u2 = in_row[k]
                     v2 = match_u[u2]
                     match_u[u2] = hole_v
                     match_v[hole_v] = u2

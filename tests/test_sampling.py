@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from cyclefactor import sampling
-from cyclefactor.errors import BadParameters, SizeLimitExceeded
+from cyclefactor.errors import BadParameters, SizeLimitExceeded, StepBudgetExhausted
 from cyclefactor.exact import enumerate_cycle_factors, exact_expected_cycles
 from cyclefactor.graphs import (
     RegularDigraph,
@@ -160,6 +160,78 @@ class TestMCMCSampler:
     def test_bad_step_budget(self):
         with pytest.raises(BadParameters):
             MCMCFactorSampler(complete_loops(3), 0)
+
+
+class TestMCMCDrawsPinned:
+    """Draws of the chain pinned by seed, so that a faster step loop must
+    consume the same random stream and return the same factors."""
+
+    GRAPHS = {
+        "complete_loops": lambda: gen_family("complete_loops", 6, 3),
+        "doubled_clique_union": lambda: double_undirected(gen_family("clique_union", 8, 3)),
+        "doubled_cycle": lambda: double_undirected(gen_family("cycle", 8, 2)),
+        "random": lambda: gen_random_regular_digraph(10, 3, 5),
+    }
+    # (graph, step budget) -> sigma of the draw from random.Random(seed), seeds 0..3
+    SIGMAS = {
+        ("complete_loops", 1): [(0, 1, 2, 4, 3, 5), (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5)],
+        ("complete_loops", 2): [(0, 1, 2, 4, 3, 5), (2, 0, 1, 3, 4, 5), (0, 1, 2, 3, 4, 5), (2, 1, 0, 3, 4, 5)],
+        ("complete_loops", 17): [(2, 0, 1, 4, 3, 5), (0, 2, 1, 3, 4, 5), (0, 1, 2, 3, 4, 5), (2, 1, 0, 5, 3, 4)],
+        ("doubled_clique_union", 1): [(1, 0, 3, 2, 7, 4, 5, 6), (1, 0, 3, 2, 5, 4, 7, 6), (1, 3, 0, 2, 5, 4, 7, 6), (1, 0, 3, 2, 5, 4, 7, 6)],
+        ("doubled_clique_union", 2): [(1, 0, 3, 2, 7, 4, 5, 6), (1, 3, 0, 2, 5, 4, 7, 6), (1, 3, 0, 2, 5, 4, 7, 6), (1, 0, 3, 2, 5, 6, 7, 4)],
+        ("doubled_clique_union", 17): [(1, 0, 3, 2, 6, 4, 7, 5), (1, 3, 0, 2, 5, 4, 7, 6), (1, 3, 0, 2, 5, 4, 7, 6), (1, 0, 3, 2, 5, 6, 7, 4)],
+        ("doubled_cycle", 1): [(1, 0, 3, 2, 5, 4, 7, 6)] * 4,
+        ("doubled_cycle", 2): [(1, 0, 3, 2, 5, 4, 7, 6)] * 4,
+        ("doubled_cycle", 17): [(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 3, 2, 5, 4, 7, 6), (1, 0, 3, 2, 5, 4, 7, 6), (1, 0, 3, 2, 5, 4, 7, 6)],
+        ("random", 1): [(5, 7, 3, 4, 2, 9, 8, 6, 0, 1), (4, 0, 3, 1, 2, 8, 7, 5, 6, 9), (4, 9, 7, 2, 0, 8, 1, 5, 6, 3), (4, 0, 3, 1, 2, 8, 7, 5, 6, 9)],
+        ("random", 2): [(5, 7, 3, 4, 2, 9, 8, 6, 0, 1), (8, 7, 5, 4, 6, 9, 1, 2, 0, 3), (4, 9, 7, 2, 0, 8, 1, 5, 6, 3), (8, 0, 3, 1, 2, 4, 7, 5, 6, 9)],
+        ("random", 17): [(5, 7, 3, 4, 2, 9, 8, 6, 0, 1), (8, 7, 5, 4, 6, 9, 1, 2, 0, 3), (4, 9, 7, 2, 0, 8, 1, 5, 6, 3), (5, 9, 7, 2, 0, 4, 8, 6, 3, 1)],
+    }
+    # Seeds in 0..200 whose draw at budget 1 meets no perfect state in 101 steps.
+    EXHAUSTED_AT_1 = {
+        "complete_loops": [],
+        "doubled_clique_union": [],
+        "doubled_cycle": [],
+        "random": [68, 130, 135, 171, 194],
+    }
+
+    @pytest.mark.parametrize("name,budget", sorted(SIGMAS))
+    def test_sigmas(self, name, budget):
+        sampler = MCMCFactorSampler(self.GRAPHS[name](), budget)
+        draws = [sampler.sample(random.Random(seed)).sigma for seed in range(4)]
+        assert draws == self.SIGMAS[name, budget]
+
+    @pytest.mark.parametrize("name", sorted(EXHAUSTED_AT_1))
+    def test_exhausted_at_budget_1(self, name):
+        sampler = MCMCFactorSampler(self.GRAPHS[name](), 1)
+        exhausted = []
+        for seed in range(201):
+            try:
+                sampler.sample(random.Random(seed))
+            except StepBudgetExhausted as e:
+                assert str(e) == "no perfect state within 101 steps (budget 1)"
+                exhausted.append(seed)
+        assert exhausted == self.EXHAUSTED_AT_1[name]
+
+    def test_min_cycle_factor_default_budget(self):
+        g = gen_random_regular_digraph(12, 3, 1)
+        result = min_cycle_factor(g, SamplerConfig(seed=3, backend="mcmc"))
+        assert result.cycle_counts == (2, 3, 1, 3, 3, 4, 2, 2, 2, 1, 2, 2, 3, 2, 3)
+
+    def test_inlined_draw_matches_randrange(self):
+        # MCMCFactorSampler.sample draws its moves this way in place of
+        # rng.randrange(w); the two must read the same stream alike.
+        for seed in (0, 1, 2024):
+            ref = random.Random(seed)
+            rng = random.Random(seed)
+            for w in range(1, 301):
+                k = w.bit_length()
+                for _ in range(3):
+                    r = rng.getrandbits(k)
+                    while r >= w:
+                        r = rng.getrandbits(k)
+                    assert r == ref.randrange(w)
+            assert rng.getstate() == ref.getstate()
 
 
 class TestMinCycleFactor:
