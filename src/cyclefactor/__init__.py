@@ -33,8 +33,6 @@ from .sampling import (
     MCMCFactorSampler,
     SamplerConfig,
     min_cycle_factor,
-    sample_exact,
-    sample_mcmc,
 )
 from .transforms import (
     PathFactor,

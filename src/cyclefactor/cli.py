@@ -2,6 +2,9 @@
 construction, sampling statistics, entropy checks, and benchmark runs.
 
 Exit codes: 0 success, 2 validation failure, 3 infeasible size, 4 I/O.
+A subcommand fails by raising; ``main`` is the one place that maps the
+exception to its exit code: CycleFactorError -> 2, SizeLimitExceeded
+(a CycleFactorError) -> 3, OSError -> 4, printing its text to stderr.
 All randomised subcommands require an explicit --seed so every run is
 replayable; identical (instance, config, seed) produce byte-identical
 JSON apart from wall-clock fields.
@@ -20,15 +23,8 @@ from pathlib import Path
 
 from . import __version__
 from .entropy import chain_rule_check, check_skew_lemma, reveal_audit
-from .errors import (
-    BadParameters,
-    CycleFactorError,
-    FormatMismatch,
-    GraphDisconnected,
-    ParseError,
-    SizeLimitExceeded,
-)
-from .exact import build_report
+from .errors import BadParameters, CycleFactorError, FormatMismatch, ParseError, SizeLimitExceeded
+from .exact import build_report, cycle_bound
 from .graphs import (
     RegularDigraph,
     UndirectedRegularGraph,
@@ -41,6 +37,8 @@ from .graphs import (
 )
 from .sampling import MinFactorResult, SamplerConfig, min_cycle_factor
 from .transforms import (
+    PathFactor,
+    Tour,
     to_path_factor,
     to_tour,
     to_undirected_cycle_factor,
@@ -60,23 +58,6 @@ def instance_hash(g) -> str:
     return hashlib.sha256(graph_to_text(g).encode()).hexdigest()[:16]
 
 
-def cycle_bound(n: int, d: int) -> dict:
-    """The expected-cycle bound in both logarithm conventions."""
-    return {
-        "base2": 4.0 * n / d * (math.log2(d) + 1.0),
-        "natural": 4.0 * n / d * (math.log(d) + 1.0),
-    }
-
-
-def _sampler_config(args, seed: int) -> SamplerConfig:
-    return SamplerConfig(
-        backend=args.backend,
-        mcmc_steps=args.mcmc_steps,
-        num_samples=args.samples,
-        seed=seed,
-    )
-
-
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, sort_keys=True)
     if out:
@@ -89,21 +70,38 @@ def _load_graph(path: str):
     try:
         return read_graph(path)
     except FileNotFoundError as e:
-        raise _Exit(EXIT_IO, f"cannot read {path}: {e}")
+        raise OSError(f"cannot read {path}: {e}") from None
     except (ParseError, FormatMismatch) as e:
-        raise _Exit(EXIT_INVALID, f"bad graph file {path}: {e}")
+        raise BadParameters(f"bad graph file {path}: {e}") from None
 
 
-class _Exit(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        self.message = message
+def _as_digraph(g) -> RegularDigraph:
+    """g itself, or the doubled digraph of an undirected g."""
+    return double_undirected(g) if isinstance(g, UndirectedRegularGraph) else g
+
+
+def _path_factor(cycles, g: UndirectedRegularGraph) -> PathFactor:
+    """The path-factor of an undirected cycle decomposition, re-validated."""
+    pf = to_path_factor(cycles, g)
+    check = verify_path_factor(pf, g)
+    if not check.ok:
+        raise BadParameters(f"path-factor failed re-validation: {check.violations}")
+    return pf
+
+
+def _tour(cycles, g: UndirectedRegularGraph) -> Tour:
+    """The tour of an undirected cycle decomposition, re-validated."""
+    tour = to_tour(cycles, g)
+    check = verify_tour(tour, g)
+    if not check.ok:
+        raise BadParameters(f"tour failed re-validation: {check.violations}")
+    return tour
 
 
 def cmd_gen(args) -> int:
     if args.family == "random":
         if args.seed is None:
-            raise _Exit(EXIT_INVALID, "gen random requires --seed")
+            raise BadParameters("gen random requires --seed")
         g = gen_random_regular_digraph(
             args.n,
             args.d,
@@ -116,19 +114,16 @@ def cmd_gen(args) -> int:
     try:
         write_graph(g, args.out)
     except OSError as e:
-        raise _Exit(EXIT_IO, f"cannot write {args.out}: {e}")
+        raise OSError(f"cannot write {args.out}: {e}") from None
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    g = _load_graph(args.path)
-    if isinstance(g, UndirectedRegularGraph):
-        g = double_undirected(g)
+    g = _as_digraph(_load_graph(args.path))
     try:
         report = build_report(g)
     except SizeLimitExceeded as e:
-        print(f"infeasible: {e}; try the sampling subcommands instead", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        raise SizeLimitExceeded(f"infeasible: {e}; try the sampling subcommands instead") from None
     rows = [(b.name, b.lhs, b.rhs, b.holds) for b in report.bound_audit]
     loss_cap = report.n / report.d * math.log2(math.e * report.d)
     rows.append(("entropy_loss_nonnegative", 0.0, report.entropy_loss, report.entropy_loss >= -1e-9))
@@ -157,7 +152,12 @@ def cmd_verify(args) -> int:
 
 def _sample_payload(g: RegularDigraph, args) -> tuple[dict, MinFactorResult]:
     """Run min-of-k and return the fields every sampling command reports."""
-    cfg = _sampler_config(args, args.seed)
+    cfg = SamplerConfig(
+        backend=args.backend,
+        mcmc_steps=args.mcmc_steps,
+        num_samples=args.samples,
+        seed=args.seed,
+    )
     result = min_cycle_factor(g, cfg)
     payload = {
         "instance_hash": instance_hash(g),
@@ -181,44 +181,35 @@ def _factor_payload(g: RegularDigraph, args) -> tuple[dict, object]:
 
 
 def cmd_cyclefactor(args) -> int:
-    g = _load_graph(args.path)
-    if isinstance(g, UndirectedRegularGraph):
-        g = double_undirected(g)
+    g = _as_digraph(_load_graph(args.path))
     payload, factor = _factor_payload(g, args)
     if not factor.is_factor_of(g):
-        raise _Exit(EXIT_INVALID, "sampled object failed independent re-validation")
+        raise BadParameters("sampled object failed independent re-validation")
     _emit(payload, args.out)
     return EXIT_OK
 
 
-def cmd_pathfactor(args) -> int:
+def _undirected_cycles(args, construction: str):
+    """Load an undirected graph, sample its doubled digraph and return
+    (graph, payload, undirected cycle decomposition)."""
     g = _load_graph(args.path)
     if not isinstance(g, UndirectedRegularGraph):
-        raise _Exit(EXIT_INVALID, "path-factor construction needs an undirected graph")
+        raise BadParameters(f"{construction} construction needs an undirected graph")
     payload, factor = _factor_payload(double_undirected(g), args)
-    cycles = to_undirected_cycle_factor(factor, g)
-    pf = to_path_factor(cycles, g)
-    check = verify_path_factor(pf, g)
-    if not check.ok:
-        raise _Exit(EXIT_INVALID, f"path-factor failed re-validation: {check.violations}")
+    return g, payload, to_undirected_cycle_factor(factor, g)
+
+
+def cmd_pathfactor(args) -> int:
+    g, payload, cycles = _undirected_cycles(args, "path-factor")
+    pf = _path_factor(cycles, g)
     payload.update({"paths": [list(p) for p in pf.paths], "path_count": pf.num_paths})
     _emit(payload, args.out)
     return EXIT_OK
 
 
 def cmd_tour(args) -> int:
-    g = _load_graph(args.path)
-    if not isinstance(g, UndirectedRegularGraph):
-        raise _Exit(EXIT_INVALID, "tour construction needs an undirected graph")
-    payload, factor = _factor_payload(double_undirected(g), args)
-    cycles = to_undirected_cycle_factor(factor, g)
-    try:
-        tour = to_tour(cycles, g)
-    except GraphDisconnected as e:
-        raise _Exit(EXIT_INVALID, str(e))
-    check = verify_tour(tour, g)
-    if not check.ok:
-        raise _Exit(EXIT_INVALID, f"tour failed re-validation: {check.violations}")
+    g, payload, cycles = _undirected_cycles(args, "tour")
+    tour = _tour(cycles, g)
     payload.update(
         {
             "walk": list(tour.walk),
@@ -231,10 +222,7 @@ def cmd_tour(args) -> int:
 
 
 def cmd_sample_stats(args) -> int:
-    g = _load_graph(args.path)
-    if isinstance(g, UndirectedRegularGraph):
-        g = double_undirected(g)
-    payload, result = _sample_payload(g, args)
+    payload, result = _sample_payload(_as_digraph(_load_graph(args.path)), args)
     counts = result.cycle_counts
     payload.update(mean=sum(counts) / len(counts), min=min(counts), max=max(counts))
     _emit(payload, args.out)
@@ -242,6 +230,11 @@ def cmd_sample_stats(args) -> int:
 
 
 def cmd_entropy_check(args) -> int:
+    # Either would skip a sweep and still report no failures.
+    if args.trials < 1:
+        raise BadParameters(f"--trials must be at least 1, got {args.trials}")
+    if args.max_support < 2:
+        raise BadParameters(f"--max-support must be at least 2, got {args.max_support}")
     rng = random.Random(args.seed)
     failures = 0
     for s in range(2, args.max_support + 1):
@@ -297,7 +290,7 @@ def _bench_instance(desc) -> tuple[str, object]:
 
 def _bench_outputs(g, config: dict) -> dict:
     outputs: dict = {}
-    digraph = double_undirected(g) if isinstance(g, UndirectedRegularGraph) else g
+    digraph = _as_digraph(g)
     if digraph.n <= config.get("oracle_max_n", 8):
         report = build_report(digraph)
         outputs["oracle"] = json.loads(report.to_json())
@@ -313,15 +306,9 @@ def _bench_outputs(g, config: dict) -> dict:
     outputs["backend"] = result.backend
     if isinstance(g, UndirectedRegularGraph):
         cycles = to_undirected_cycle_factor(result.factor, g)
-        pf = to_path_factor(cycles, g)
-        if not verify_path_factor(pf, g).ok:
-            raise BadParameters("path-factor failed re-validation")
-        outputs["path_count"] = pf.num_paths
+        outputs["path_count"] = _path_factor(cycles, g).num_paths
         if g.is_connected():
-            tour = to_tour(cycles, g)
-            if not verify_tour(tour, g).ok:
-                raise BadParameters("tour failed re-validation")
-            outputs["tour_length"] = tour.length
+            outputs["tour_length"] = _tour(cycles, g).length
     return outputs
 
 
@@ -344,7 +331,7 @@ def _existing_keys(out_path: Path) -> set:
             rec = json.loads(line)
             keys.add((rec["instance_hash"], rec["config_hash"], rec["seed"]))
         except (ValueError, KeyError, TypeError) as e:
-            raise _Exit(EXIT_INVALID, f"bad results file {out_path}, line {lineno}: {e}")
+            raise BadParameters(f"bad results file {out_path}, line {lineno}: {e}") from None
     if len(complete) < len(data):
         with out_path.open("r+b") as fh:
             fh.truncate(len(complete))
@@ -355,19 +342,19 @@ def cmd_bench(args) -> int:
     try:
         manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
     except FileNotFoundError as e:
-        raise _Exit(EXIT_IO, f"cannot read manifest: {e}")
+        raise OSError(f"cannot read manifest: {e}") from None
     except ValueError as e:  # not JSON, or not UTF-8
-        raise _Exit(EXIT_INVALID, f"bad manifest: {e}")
+        raise BadParameters(f"bad manifest: {e}") from None
     if not isinstance(manifest, dict):
-        raise _Exit(EXIT_INVALID, "bad manifest: not a JSON object")
+        raise BadParameters("bad manifest: not a JSON object")
     config = manifest.get("config", {})
     instances = manifest.get("instances", [])
     if not isinstance(config, dict) or not isinstance(instances, list):
-        raise _Exit(EXIT_INVALID, "bad manifest: config must be an object, instances a list")
+        raise BadParameters("bad manifest: config must be an object, instances a list")
     int_keys = ("samples", "mcmc_steps", "seed", "oracle_max_n")
     not_int = [k for k in int_keys if k in config and type(config[k]) is not int]
     if not_int:
-        raise _Exit(EXIT_INVALID, f"bad manifest: config {', '.join(not_int)} not an integer")
+        raise BadParameters(f"bad manifest: config {', '.join(not_int)} not an integer")
     out_path = Path(args.out) if args.out else Path("bench_results.ndjson")
     config_hash = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()
@@ -380,7 +367,7 @@ def cmd_bench(args) -> int:
     try:
         fh = out_path.open("a", encoding="utf-8")
     except OSError as e:
-        raise _Exit(EXIT_IO, f"cannot write results: {e}")
+        raise OSError(f"cannot write results: {e}") from None
     with fh:
         for desc in instances:
             try:
@@ -499,13 +486,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _Exit as e:
-        print(e.message, file=sys.stderr)
-        return e.code
     except SizeLimitExceeded as e:
         print(str(e), file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (BadParameters, CycleFactorError) as e:
+    except CycleFactorError as e:
         print(str(e), file=sys.stderr)
         return EXIT_INVALID
     except OSError as e:

@@ -47,10 +47,14 @@ def _validate(probs) -> tuple[float, ...]:
     return probs
 
 
+def _entropy(probs) -> float:
+    # No validation: callers pass a checked law or one derived from it.
+    return -sum(p * math.log2(p) for p in probs if p > 0.0)
+
+
 def shannon_entropy(probs) -> float:
     """Base-2 entropy of a finite distribution; zero entries contribute 0."""
-    probs = _validate(probs)
-    return -sum(p * math.log2(p) for p in probs if p > 0.0)
+    return _entropy(_validate(probs))
 
 
 def binary_entropy(p: float) -> float:
@@ -106,16 +110,14 @@ def chain_rule_check(joint) -> ChainRuleCheck:
         raise InvalidDistribution("joint matrix must be rectangular and non-empty")
     flat = [p for row in rows for p in row]
     _validate(flat)
-    h_joint = -sum(p * math.log2(p) for p in flat if p > 0.0)
+    h_joint = _entropy(flat)
     row_sums = [sum(row) for row in rows]
-    h_x = -sum(p * math.log2(p) for p in row_sums if p > 0.0)
+    h_x = _entropy(row_sums)
     h_y_given_x = 0.0
     for px, row in zip(row_sums, rows):
         if px <= 0.0:
             continue
-        h_y_given_x += px * -sum(
-            (p / px) * math.log2(p / px) for p in row if p > 0.0
-        )
+        h_y_given_x += px * _entropy(p / px for p in row)
     gap = abs(h_joint - h_x - h_y_given_x)
     return ChainRuleCheck(h_joint, h_x, h_y_given_x, gap, gap <= _SLACK)
 
@@ -170,9 +172,7 @@ def reveal_audit(g: RegularDigraph) -> RevealAuditReport:
             if all(sig[v] == pv for v, pv in zip(prefix, pinned)):
                 tally[sig[i]] = tally.get(sig[i], 0) + 1
                 total += 1
-        h = -sum(
-            (c / total) * math.log2(c / total) for c in tally.values()
-        )
+        h = _entropy(c / total for c in tally.values())
         cond_cache[key] = h
         return h
 

@@ -26,6 +26,7 @@ __all__ = [
     "enumerate_cycle_factors",
     "iter_factor_sigmas",
     "exact_expected_cycles",
+    "cycle_bound",
     "audit_bounds",
     "entropy_loss",
     "build_report",
@@ -204,10 +205,9 @@ def exact_expected_cycles(g: RegularDigraph) -> Fraction:
     return Fraction(cycle_sum, count)
 
 
-def entropy_loss(g: RegularDigraph, matching_count: int | None = None) -> float:
-    """Gap (in bits) between (n/d)*log2(d!) and log2(#cycle-factors)."""
-    if matching_count is None:
-        matching_count = permanent(to_bipartite(g))
+def entropy_loss(g: RegularDigraph, matching_count: int) -> float:
+    """Gap (in bits) between (n/d)*log2(d!) and log2(matching_count), the
+    number of cycle-factors of g."""
     if g.n % g.d == 0:
         # Single-log form so the tight case (count == (d!)^(n/d)) cancels
         # to exactly 0.0 instead of a rounding residue.
@@ -216,23 +216,27 @@ def entropy_loss(g: RegularDigraph, matching_count: int | None = None) -> float:
     return g.n / g.d * math.log2(math.factorial(g.d)) - math.log2(matching_count)
 
 
+def cycle_bound(n: int, d: int) -> dict:
+    """The paper's bound 4(n/d)(log d + 1) on E[cycles], in both logarithm
+    conventions; the audit checks the base-2 one."""
+    return {
+        "base2": 4.0 * n / d * (math.log2(d) + 1.0),
+        "natural": 4.0 * n / d * (math.log(d) + 1.0),
+    }
+
+
 def audit_bounds(
-    g: RegularDigraph,
-    matching_count: int | None = None,
-    expected_cycles: Fraction | None = None,
+    g: RegularDigraph, matching_count: int, expected_cycles: Fraction
 ) -> tuple[BoundCheck, ...]:
-    """Audit the matching-count sandwich and the expected-cycle bound.
+    """Audit the matching-count sandwich and the expected-cycle bound for
+    g's number of cycle-factors and their mean cycle count.
 
     (a) count^d <= (d!)^n and (b) count * n^n >= n! * d^n are checked with
     exact integer arithmetic; (c) log2(count) >= n*log2(d/e) and (d)
-    E[cycles] <= 4*(n/d)*(log2 d + 1) in floats. Cached inputs may be
-    passed to avoid recomputation.
+    E[cycles] <= ``cycle_bound(n, d)["base2"]`` in floats.
     """
     n, d = g.n, g.d
-    if matching_count is None:
-        matching_count = permanent(to_bipartite(g))
-    if expected_cycles is None:
-        expected_cycles = exact_expected_cycles(g)
+    bound = cycle_bound(n, d)["base2"]
     log2_count = math.log2(matching_count)
     checks = [
         BoundCheck(
@@ -256,8 +260,8 @@ def audit_bounds(
         BoundCheck(
             "expected_cycles_upper",
             float(expected_cycles),
-            4.0 * n / d * (math.log2(d) + 1.0),
-            float(expected_cycles) <= 4.0 * n / d * (math.log2(d) + 1.0),
+            bound,
+            float(expected_cycles) <= bound,
         ),
     ]
     return tuple(checks)

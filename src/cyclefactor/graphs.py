@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
@@ -87,14 +87,6 @@ class UndirectedRegularGraph:
     @classmethod
     def from_lists(cls, n: int, d: int, adj) -> "UndirectedRegularGraph":
         return cls(n, d, tuple(tuple(sorted(row)) for row in adj))
-
-    @classmethod
-    def from_edges(cls, n: int, d: int, edges) -> "UndirectedRegularGraph":
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return cls.from_lists(n, d, adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BadParameters, SizeLimitExceeded, StepBudgetExhausted
 from .exact import MAX_STATES, completion_levels
@@ -26,8 +26,6 @@ __all__ = [
     "hopcroft_karp",
     "ExactFactorSampler",
     "MCMCFactorSampler",
-    "sample_exact",
-    "sample_mcmc",
     "min_cycle_factor",
     "MinFactorResult",
 ]
@@ -292,18 +290,6 @@ class MCMCFactorSampler:
         )
 
 
-def sample_exact(g: RegularDigraph, seed: int) -> CycleFactor:
-    """One exactly-uniform cycle-factor; deterministic given seed."""
-    return ExactFactorSampler(g).sample(random.Random(seed))
-
-
-def sample_mcmc(g: RegularDigraph, cfg: SamplerConfig | None = None) -> CycleFactor:
-    """One near-uniform cycle-factor from the matching chain."""
-    cfg = cfg or SamplerConfig()
-    sampler = MCMCFactorSampler(g, cfg.resolve_steps(g))
-    return sampler.sample(random.Random(cfg.seed))
-
-
 @dataclass(frozen=True)
 class MinFactorResult:
     """Best of k independent draws, with every draw's cycle count."""
@@ -311,17 +297,10 @@ class MinFactorResult:
     factor: CycleFactor
     cycle_counts: tuple[int, ...]
     backend: str
-    seed: int
 
     @property
     def best_count(self) -> int:
         return self.factor.num_cycles
-
-
-def _make_sampler(g: RegularDigraph, cfg: SamplerConfig, backend: str):
-    if backend == "exact":
-        return ExactFactorSampler(g)
-    return MCMCFactorSampler(g, cfg.resolve_steps(g))
 
 
 def min_cycle_factor(g: RegularDigraph, cfg: SamplerConfig | None = None) -> MinFactorResult:
@@ -333,7 +312,10 @@ def min_cycle_factor(g: RegularDigraph, cfg: SamplerConfig | None = None) -> Min
     """
     cfg = cfg or SamplerConfig()
     backend = cfg.resolve_backend(g.n)
-    sampler = _make_sampler(g, cfg, backend)
+    if backend == "exact":
+        sampler = ExactFactorSampler(g)
+    else:
+        sampler = MCMCFactorSampler(g, cfg.resolve_steps(g))
     k = cfg.resolve_num_samples(g.n)
     best: CycleFactor | None = None
     counts = []
@@ -342,4 +324,4 @@ def min_cycle_factor(g: RegularDigraph, cfg: SamplerConfig | None = None) -> Min
         counts.append(cf.num_cycles)
         if best is None or cf.num_cycles < best.num_cycles:
             best = cf
-    return MinFactorResult(best, tuple(counts), backend, cfg.seed)
+    return MinFactorResult(best, tuple(counts), backend)

@@ -10,7 +10,6 @@ gives a closed tour of length at most n + 2(c - 1).
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 
@@ -39,9 +38,6 @@ class PathFactor:
     def num_paths(self) -> int:
         return len(self.paths)
 
-    def to_json(self) -> str:
-        return json.dumps({"paths": [list(p) for p in self.paths]})
-
 
 @dataclass(frozen=True)
 class Tour:
@@ -53,9 +49,6 @@ class Tour:
     def length(self) -> int:
         return len(self.walk) - 1
 
-    def to_json(self) -> str:
-        return json.dumps({"walk": list(self.walk), "length": self.length})
-
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -63,9 +56,6 @@ class CheckReport:
 
     ok: bool
     violations: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def to_undirected_cycle_factor(
@@ -80,14 +70,6 @@ def to_undirected_cycle_factor(
     if not cf.is_factor_of(g):
         raise BadParameters("input is not a cycle-factor of the doubled graph")
     return cf.cycles
-
-
-def _cycle_edges(cyc: tuple[int, ...]):
-    if len(cyc) == 2:
-        yield (cyc[0], cyc[1])
-        return
-    for i, u in enumerate(cyc):
-        yield (u, cyc[(i + 1) % len(cyc)])
 
 
 def to_path_factor(
@@ -139,7 +121,6 @@ def to_tour(cycles: tuple[tuple[int, ...], ...], g: UndirectedRegularGraph) -> T
     parent_link: list[tuple[int, int] | None] = [None] * c
     visited = [False] * c
     visited[root] = True
-    children: list[list[int]] = [[] for _ in range(c)]
     queue = deque([root])
     while queue:
         ci = queue.popleft()
@@ -149,10 +130,7 @@ def to_tour(cycles: tuple[tuple[int, ...], ...], g: UndirectedRegularGraph) -> T
                 if not visited[cj]:
                     visited[cj] = True
                     parent_link[cj] = (u, v)
-                    children[ci].append(cj)
                     queue.append(cj)
-    if not all(visited):
-        raise GraphDisconnected("cycle contraction is disconnected")
 
     # detours[cycle][vertex] = child cycles entered at that vertex
     detours: list[dict[int, list[int]]] = [dict() for _ in range(c)]

@@ -150,7 +150,8 @@ def test_criterion_5_entropy_loss_ledger(corpus):
             out_of_range.append((g.n, g.d, loss))
     nonzero = []
     for n, d in [(1, 1), (2, 2), (4, 4), (6, 6), (9, 9), (6, 3), (8, 4), (8, 2), (9, 3)]:
-        loss = entropy_loss(gen_family("complete_loops", n, d))
+        g = gen_family("complete_loops", n, d)
+        loss = entropy_loss(g, permanent(to_bipartite(g)))
         if loss != 0.0:
             nonzero.append((n, d, loss))
     report(

@@ -2,9 +2,18 @@ import json
 
 import pytest
 
+from cyclefactor import cli
 from cyclefactor.cli import main
-from cyclefactor.graphs import RegularDigraph, gen_family, read_graph, to_bipartite, write_graph
+from cyclefactor.graphs import (
+    CycleFactor,
+    RegularDigraph,
+    gen_family,
+    read_graph,
+    to_bipartite,
+    write_graph,
+)
 from cyclefactor.sampling import hopcroft_karp
+from cyclefactor.transforms import CheckReport
 
 
 def run(capsys, *argv):
@@ -210,6 +219,110 @@ class TestEntropyCheck:
         )
         assert code == 0
         assert json.loads(out)["failures"] == 0
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_rejected(self, capsys, trials):
+        code, out, err = run(capsys, "entropy-check", "--seed", 1, "--trials", trials)
+        assert (code, out) == (2, "")
+        assert err == f"--trials must be at least 1, got {trials}\n"
+
+    def test_support_below_two_rejected(self, capsys):
+        code, out, err = run(capsys, "entropy-check", "--seed", 1, "--max-support", 1)
+        assert (code, out) == (2, "")
+        assert err == "--max-support must be at least 2, got 1\n"
+
+
+def _error_inputs(tmp):
+    write_graph(gen_family("complete_loops", 4, 4), tmp / "k4.digraph")
+    write_graph(gen_family("clique_union", 8, 3), tmp / "cliques.graph")
+    write_graph(gen_family("complete_loops", 12, 12), tmp / "k12.digraph")
+    (tmp / "bad.digraph").write_text("digraph 2 1\n1\n1\n")
+    (tmp / "notjson.json").write_text("{")
+    (tmp / "list.json").write_text("[]")
+    (tmp / "shape.json").write_text(json.dumps({"config": [], "instances": []}))
+    (tmp / "empty.json").write_text(json.dumps({"config": {}, "instances": []}))
+    (tmp / "corrupt.ndjson").write_text("not json\n")
+
+
+_NO_FILE = "[Errno 2] No such file or directory: '{tmp}/"
+
+# Every failure of a subcommand ends in main's one mapping to an exit code;
+# these pin the exit code and the exact stderr text of each such failure.
+ERROR_CASES = [
+    pytest.param(
+        ["gen", "random", "--n", 6, "--d", 2, "--out", "{tmp}/x"],
+        2, "gen random requires --seed", id="gen-random-without-seed"),
+    pytest.param(
+        ["gen", "cycle", "--n", 6, "--d", 2, "--out", "{tmp}/nodir/g.graph"],
+        4, "cannot write {tmp}/nodir/g.graph: " + _NO_FILE + "nodir/g.graph'",
+        id="gen-unwritable-out"),
+    pytest.param(
+        ["verify", "{tmp}/none.digraph"],
+        4, "cannot read {tmp}/none.digraph: " + _NO_FILE + "none.digraph'",
+        id="missing-graph-file"),
+    pytest.param(
+        ["verify", "{tmp}/bad.digraph"],
+        2, "bad graph file {tmp}/bad.digraph: vertex 0 has in-degree 0, expected 1",
+        id="malformed-graph-file"),
+    pytest.param(
+        ["verify", "{tmp}/k12.digraph"],
+        3, "infeasible: instance has over n!(d/n)^n > 1000000 cycle-factors, past the cap;"
+        " try the sampling subcommands instead", id="verify-infeasible"),
+    pytest.param(
+        ["pathfactor", "{tmp}/k4.digraph", "--seed", 1],
+        2, "path-factor construction needs an undirected graph", id="pathfactor-on-digraph"),
+    pytest.param(
+        ["tour", "{tmp}/k4.digraph", "--seed", 1],
+        2, "tour construction needs an undirected graph", id="tour-on-digraph"),
+    pytest.param(
+        ["tour", "{tmp}/cliques.graph", "--seed", 2],
+        2, "tour construction needs a connected graph", id="tour-disconnected"),
+    pytest.param(
+        ["bench", "{tmp}/none.json", "--out", "{tmp}/r.ndjson"],
+        4, "cannot read manifest: " + _NO_FILE + "none.json'", id="manifest-unreadable"),
+    pytest.param(
+        ["bench", "{tmp}/notjson.json", "--out", "{tmp}/r.ndjson"],
+        2, "bad manifest: Expecting property name enclosed in double quotes:"
+        " line 1 column 2 (char 1)", id="manifest-not-json"),
+    pytest.param(
+        ["bench", "{tmp}/list.json", "--out", "{tmp}/r.ndjson"],
+        2, "bad manifest: not a JSON object", id="manifest-not-object"),
+    pytest.param(
+        ["bench", "{tmp}/shape.json", "--out", "{tmp}/r.ndjson"],
+        2, "bad manifest: config must be an object, instances a list", id="manifest-wrong-shape"),
+    pytest.param(
+        ["bench", "{tmp}/empty.json", "--out", "{tmp}/corrupt.ndjson"],
+        2, "bad results file {tmp}/corrupt.ndjson, line 1: Expecting value:"
+        " line 1 column 1 (char 0)", id="results-corrupt"),
+    pytest.param(
+        ["bench", "{tmp}/empty.json", "--out", "{tmp}/nodir/r.ndjson"],
+        4, "cannot write results: " + _NO_FILE + "nodir/r.ndjson'", id="results-unwritable"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", ERROR_CASES)
+def test_failure_exit_code_and_stderr(tmp_path, capsys, argv, code, message):
+    _error_inputs(tmp_path)
+    tmp = str(tmp_path)
+    got = run(capsys, *(str(a).replace("{tmp}", tmp) for a in argv))
+    assert got == (code, "", message.replace("{tmp}", tmp) + "\n")
+
+
+@pytest.mark.parametrize("cmd, path, message", [
+    ("cyclefactor", "k4.digraph", "sampled object failed independent re-validation"),
+    ("pathfactor", "cycle.graph", "path-factor failed re-validation: ('X',)"),
+    ("tour", "cycle.graph", "tour failed re-validation: ('X',)"),
+])
+def test_failed_revalidation_exit_code_and_stderr(tmp_path, capsys, monkeypatch, cmd, path, message):
+    write_graph(gen_family("complete_loops", 4, 4), tmp_path / "k4.digraph")
+    write_graph(gen_family("cycle", 6, 2), tmp_path / "cycle.graph")
+    failed = lambda *args: CheckReport(False, ("X",))
+    monkeypatch.setattr(cli, "verify_path_factor", failed)
+    monkeypatch.setattr(cli, "verify_tour", failed)
+    if cmd == "cyclefactor":
+        monkeypatch.setattr(CycleFactor, "is_factor_of", lambda self, g: False)
+    got = run(capsys, cmd, tmp_path / path, "--seed", 1)
+    assert got == (2, "", message + "\n")
 
 
 class TestBench:

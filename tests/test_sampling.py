@@ -21,8 +21,6 @@ from cyclefactor.sampling import (
     derive_seed,
     hopcroft_karp,
     min_cycle_factor,
-    sample_exact,
-    sample_mcmc,
 )
 from cyclefactor.graphs import to_bipartite
 
@@ -62,11 +60,12 @@ class TestExactSampler:
     def test_unique_factor(self):
         g = directed_cycle(3)
         for seed in range(5):
-            assert sample_exact(g, seed).sigma == (1, 2, 0)
+            assert ExactFactorSampler(g).sample(random.Random(seed)).sigma == (1, 2, 0)
 
     def test_deterministic_given_seed(self):
         g = complete_loops(5)
-        assert sample_exact(g, 123).sigma == sample_exact(g, 123).sigma
+        draws = [ExactFactorSampler(g).sample(random.Random(123)).sigma for _ in range(2)]
+        assert draws[0] == draws[1]
 
     def test_samples_are_valid_factors(self):
         rng = random.Random(0)
@@ -121,7 +120,7 @@ class TestExactSampler:
 class TestMCMCSampler:
     def test_unique_factor(self):
         g = directed_cycle(3)
-        cf = sample_mcmc(g, SamplerConfig(seed=1, mcmc_steps=100))
+        cf = MCMCFactorSampler(g, 100).sample(random.Random(1))
         assert cf.sigma == (1, 2, 0)
 
     def test_samples_are_valid_factors(self):

@@ -21,12 +21,12 @@ from cyclefactor.transforms import (
     verify_tour,
 )
 
-PETERSEN = UndirectedRegularGraph.from_edges(
+# Outer 5-cycle 0..4, inner pentagram 5-7-9-6-8, spokes i -- i + 5.
+PETERSEN = UndirectedRegularGraph.from_lists(
     10,
     3,
-    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
-     (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
-     (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)],
+    [[1, 4, 5], [0, 2, 6], [1, 3, 7], [2, 4, 8], [0, 3, 9],
+     [0, 7, 8], [1, 8, 9], [2, 5, 9], [3, 5, 6], [4, 6, 7]],
 )
 
 
