@@ -39,6 +39,8 @@ def _validate(probs) -> tuple[float, ...]:
     probs = tuple(float(p) for p in probs)
     if not probs:
         raise InvalidDistribution("empty distribution")
+    if not all(math.isfinite(p) for p in probs):
+        raise InvalidDistribution("non-finite probability")
     if any(p < 0 for p in probs):
         raise InvalidDistribution("negative probability")
     total = sum(probs)

@@ -47,7 +47,7 @@ class SamplerConfig:
     """Knobs for the samplers; ``auto`` picks exact when n <= 20."""
 
     backend: str = "auto"  # exact | mcmc | auto
-    mcmc_steps: int | None = None  # default 50 * n^2 * d
+    mcmc_steps: int | None = None  # default 5 * n^2 * d
     num_samples: int | None = None  # default max(10, ceil(4 * log2 n))
     seed: int = 0
 
@@ -63,7 +63,9 @@ class SamplerConfig:
             if self.mcmc_steps < 1:
                 raise BadParameters("mcmc_steps must be positive")
             return self.mcmc_steps
-        return 50 * g.n * g.n * g.d
+        # Ten times 0.5 n^2 d, the smallest budget that matched the exact
+        # law on every family swept (README, "MCMC step budget").
+        return 5 * g.n * g.n * g.d
 
     def resolve_num_samples(self, n: int) -> int:
         if self.num_samples is not None:

@@ -83,6 +83,9 @@ def to_path_factor(
     """
     paths = []
     for cyc in cycles:
+        for v in cyc:
+            if not 0 <= v < g.n:
+                raise BadParameters(f"vertex {v} is out of range for n={g.n}")
         if len(cyc) <= 2:
             paths.append(tuple(cyc))
             continue
@@ -106,6 +109,8 @@ def to_tour(cycles: tuple[tuple[int, ...], ...], g: UndirectedRegularGraph) -> T
     cyc_of = [-1] * g.n
     for ci, cyc in enumerate(cycles):
         for v in cyc:
+            if not 0 <= v < g.n:
+                raise BadParameters(f"vertex {v} is out of range for n={g.n}")
             if cyc_of[v] != -1:
                 raise BadParameters(f"vertex {v} appears in two cycles")
             cyc_of[v] = ci

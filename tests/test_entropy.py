@@ -30,7 +30,9 @@ class TestShannonEntropy:
     def test_half_quarter_quarter(self):
         assert shannon_entropy([0.5, 0.25, 0.25]) == pytest.approx(1.5)
 
-    @pytest.mark.parametrize("probs", [[], [0.5, 0.4], [1.2, -0.2]])
+    @pytest.mark.parametrize(
+        "probs", [[], [0.5, 0.4], [1.2, -0.2], [math.nan, 1.0], [math.nan]]
+    )
     def test_invalid(self, probs):
         with pytest.raises(InvalidDistribution):
             shannon_entropy(probs)
@@ -93,6 +95,10 @@ class TestSkewLemma:
         for _ in range(2000):
             s = rng.randint(2, 64)
             assert check_skew_lemma(random_simplex_point(rng, s)).holds
+
+    def test_rejects_nan(self):
+        with pytest.raises(InvalidDistribution):
+            check_skew_lemma([math.nan, 1.0])
 
 
 class TestChainRule:

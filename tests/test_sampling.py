@@ -2,6 +2,7 @@ import math
 import random
 import statistics
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -156,6 +157,28 @@ class TestMCMCSampler:
         sigma = statistics.stdev(obs) / math.sqrt(draws)
         assert abs(mean - exp) <= max(4 * sigma, 0.1)
 
+    @pytest.mark.parametrize(
+        "g,expected",
+        [
+            # Four blocks, each a uniform derangement of 4 (6 with one
+            # cycle, 3 with two): E = 4 * 12/9.
+            (double_undirected(gen_family("clique_union", 16, 3)), Fraction(16, 3)),
+            # Four blocks, each a uniform permutation of 4: E = 4 * H_4.
+            (gen_family("complete_loops", 16, 4), Fraction(25, 3)),
+        ],
+        ids=["doubled_clique_union_16_3", "complete_loops_16_4"],
+    )
+    def test_default_budget_matches_oracle(self, g, expected):
+        # With these draws both instances miss E by 6-9 SE at 0.2 n^2 d
+        # steps, so a default cut that far fails here.
+        exp = float(expected)
+        sampler = MCMCFactorSampler(g, SamplerConfig().resolve_steps(g))
+        rng = random.Random(61)
+        draws = 1000
+        obs = [sampler.sample(rng).num_cycles for _ in range(draws)]
+        se = statistics.stdev(obs) / math.sqrt(draws)
+        assert abs(statistics.fmean(obs) - exp) <= 4 * se
+
     def test_bad_step_budget(self):
         with pytest.raises(BadParameters):
             MCMCFactorSampler(complete_loops(3), 0)
@@ -215,6 +238,12 @@ class TestMCMCDrawsPinned:
     def test_min_cycle_factor_default_budget(self):
         g = gen_random_regular_digraph(12, 3, 1)
         result = min_cycle_factor(g, SamplerConfig(seed=3, backend="mcmc"))
+        assert result.cycle_counts == (3, 2, 2, 3, 3, 3, 2, 1, 3, 1, 1, 2, 5, 3, 3)
+
+    def test_min_cycle_factor_explicit_budget(self):
+        # The former default, 50 n^2 d, given explicitly draws what it drew.
+        g = gen_random_regular_digraph(12, 3, 1)
+        result = min_cycle_factor(g, SamplerConfig(seed=3, backend="mcmc", mcmc_steps=50 * 12 * 12 * 3))
         assert result.cycle_counts == (2, 3, 1, 3, 3, 4, 2, 2, 2, 1, 2, 2, 3, 2, 3)
 
     def test_inlined_draw_matches_randrange(self):

@@ -87,6 +87,12 @@ class TestPathFactor:
         # the removed edge is (4, 3): walk restarts right after it
         assert to_path_factor(cycles, c5).paths[0][0] == 4
 
+    @pytest.mark.parametrize("cycles", [((0, 1, 2, -1),), ((0, 1, 2, 4),)])
+    def test_out_of_range_vertex_rejected(self, cycles):
+        c4 = gen_family("cycle", 4, 2)
+        with pytest.raises(BadParameters, match="out of range"):
+            to_path_factor(cycles, c4)
+
 
 class TestTour:
     def test_hamilton_cycle_gives_length_n(self):
@@ -137,6 +143,12 @@ class TestTour:
         c4 = gen_family("cycle", 4, 2)
         with pytest.raises(BadParameters):
             to_tour(((0, 1),), c4)
+
+    @pytest.mark.parametrize("cycles", [((0, 1, 2, -1),), ((0, 1, 2, 4),)])
+    def test_out_of_range_vertex_rejected(self, cycles):
+        c4 = gen_family("cycle", 4, 2)
+        with pytest.raises(BadParameters, match="out of range"):
+            to_tour(cycles, c4)
 
 
 class TestVerifiers:
