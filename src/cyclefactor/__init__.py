@@ -8,7 +8,6 @@ lemma checkers, with a CLI harness tying them together.
 __version__ = "0.1.0"
 
 from .graphs import (
-    BipartiteGraph,
     CycleFactor,
     RegularDigraph,
     UndirectedRegularGraph,

@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .entropy import chain_rule_check, check_skew_lemma, reveal_audit
+from .entropy import REVEAL_MAX_N, chain_rule_check, check_skew_lemma, reveal_audit
 from .errors import BadParameters, CycleFactorError, FormatMismatch, ParseError, SizeLimitExceeded
 from .exact import build_report, cycle_bound
 from .graphs import (
@@ -128,7 +128,7 @@ def cmd_verify(args) -> int:
     loss_cap = report.n / report.d * math.log2(math.e * report.d)
     rows.append(("entropy_loss_nonnegative", 0.0, report.entropy_loss, report.entropy_loss >= -1e-9))
     rows.append(("entropy_loss_upper", report.entropy_loss, loss_cap, report.entropy_loss <= loss_cap + 1e-9))
-    if g.n <= 6:
+    if g.n <= REVEAL_MAX_N:
         audit = reveal_audit(g)
         rows.append(("reveal_uniformity", 0.0, 0.0, audit.uniform))
         rows.append(("reveal_loss_agreement", audit.loss_gap, 1e-6, audit.loss_gap <= 1e-6))
@@ -288,18 +288,12 @@ def _bench_instance(desc) -> tuple[str, object]:
     return instance_hash(g), g
 
 
-def _bench_outputs(g, config: dict) -> dict:
+def _bench_outputs(g, cfg: SamplerConfig, oracle_max_n: int) -> dict:
     outputs: dict = {}
     digraph = _as_digraph(g)
-    if digraph.n <= config.get("oracle_max_n", 8):
+    if digraph.n <= oracle_max_n:
         report = build_report(digraph)
         outputs["oracle"] = json.loads(report.to_json())
-    cfg = SamplerConfig(
-        backend=config.get("backend", "auto"),
-        mcmc_steps=config.get("mcmc_steps"),
-        num_samples=config.get("samples"),
-        seed=config.get("seed", 0),
-    )
     result = min_cycle_factor(digraph, cfg)
     outputs["cycle_counts"] = list(result.cycle_counts)
     outputs["min_cycles"] = result.best_count
@@ -355,13 +349,23 @@ def cmd_bench(args) -> int:
     not_int = [k for k in int_keys if k in config and type(config[k]) is not int]
     if not_int:
         raise BadParameters(f"bad manifest: config {', '.join(not_int)} not an integer")
+    try:
+        cfg = SamplerConfig(
+            backend=config.get("backend", "auto"),
+            mcmc_steps=config.get("mcmc_steps"),
+            num_samples=config.get("samples"),
+            seed=config.get("seed", 0),
+        )
+    except BadParameters as e:
+        raise BadParameters(f"bad manifest: {e}") from None
+    oracle_max_n = config.get("oracle_max_n", 8)
     out_path = Path(args.out) if args.out else Path("bench_results.ndjson")
     config_hash = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()
     ).hexdigest()[:16]
 
     existing = _existing_keys(out_path)
-    seed = config.get("seed", 0)
+    seed = cfg.seed
     errors = []
     records = []
     try:
@@ -375,7 +379,7 @@ def cmd_bench(args) -> int:
                 if (ih, config_hash, seed) in existing:
                     continue
                 start = time.monotonic()
-                outputs = _bench_outputs(g, config)
+                outputs = _bench_outputs(g, cfg, oracle_max_n)
             except (CycleFactorError, OSError) as e:
                 errors.append({"instance": desc, "error": str(e)})
                 continue

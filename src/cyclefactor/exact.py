@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeLimitExceeded
-from .graphs import BipartiteGraph, CycleFactor, RegularDigraph, to_bipartite
+from .graphs import CycleFactor, RegularDigraph
 
 __all__ = [
     "MAX_STATES",
@@ -107,13 +107,14 @@ def completion_levels(out_adj):
         yield level
 
 
-def permanent(bip: BipartiteGraph) -> int:
-    """Exact permanent of the 0/1 biadjacency matrix of ``bip``.
+def permanent(out_adj) -> int:
+    """Exact permanent of the 0/1 matrix whose row r has ones in the
+    columns ``out_adj[r]``, such as a digraph's out-rows (``to_bipartite``).
 
     Counts perfect matchings: the level-0 entry of ``completion_levels``,
     holding two levels at a time. Exact in arbitrary-precision integers.
     """
-    for level in completion_levels(bip.adj):
+    for level in completion_levels(out_adj):
         pass
     return level.get(0, 0)
 
@@ -157,7 +158,7 @@ def _guard_enumeration(g: RegularDigraph) -> int:
         raise SizeLimitExceeded(
             f"instance has over n!(d/n)^n > {ENUMERATION_MAX_COUNT} cycle-factors, past the cap"
         )
-    count = permanent(to_bipartite(g))
+    count = permanent(g.out_adj)
     if count > ENUMERATION_MAX_COUNT:
         raise SizeLimitExceeded(
             f"instance has {count} cycle-factors, enumeration capped at {ENUMERATION_MAX_COUNT}"

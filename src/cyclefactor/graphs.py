@@ -31,7 +31,6 @@ from .errors import (
 __all__ = [
     "RegularDigraph",
     "UndirectedRegularGraph",
-    "BipartiteGraph",
     "CycleFactor",
     "require_valid",
     "to_bipartite",
@@ -92,8 +91,6 @@ class UndirectedRegularGraph:
         return v in self.adj[u]
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
         seen = [False] * self.n
         stack = [0]
         seen[0] = True
@@ -106,26 +103,6 @@ class UndirectedRegularGraph:
                     count += 1
                     stack.append(v)
         return count == self.n
-
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """A d-regular bipartite graph on two sides of size n.
-
-    ``adj[u]`` lists the V-side neighbours of U-side vertex ``u``.
-    """
-
-    n: int
-    d: int
-    adj: tuple[tuple[int, ...], ...]
-
-    def in_adj(self) -> tuple[tuple[int, ...], ...]:
-        """V-side adjacency: ``in_adj()[v]`` lists U-side neighbours of v."""
-        rev: list[list[int]] = [[] for _ in range(self.n)]
-        for u, row in enumerate(self.adj):
-            for v in row:
-                rev[v].append(u)
-        return tuple(tuple(sorted(r)) for r in rev)
 
 
 @dataclass(frozen=True)
@@ -237,11 +214,12 @@ def _entry_fault(u: int, v: int, prev: int, n: int, loops: bool) -> CycleFactorE
     return BadParameters(f"row {u} is not strictly increasing")
 
 
-def to_bipartite(g: RegularDigraph) -> BipartiteGraph:
-    """Build the auxiliary bipartite graph whose perfect matchings are the
-    cycle-factors of g: U-side vertex u connects to V-side vertex v exactly
-    when (u, v) is an arc of g."""
-    return BipartiteGraph(g.n, g.d, g.out_adj)
+def to_bipartite(g: RegularDigraph) -> tuple[tuple[int, ...], ...]:
+    """The biadjacency rows of the auxiliary bipartite graph whose perfect
+    matchings are the cycle-factors of g: U-side vertex u connects to
+    V-side vertex v exactly when (u, v) is an arc of g, so they are
+    ``g.out_adj`` itself."""
+    return g.out_adj
 
 
 def double_undirected(g: UndirectedRegularGraph) -> RegularDigraph:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import BadParameters, SizeLimitExceeded, StepBudgetExhausted
 from .exact import MAX_STATES, completion_levels
-from .graphs import BipartiteGraph, CycleFactor, RegularDigraph, to_bipartite
+from .graphs import CycleFactor, RegularDigraph
 
 __all__ = [
     "EXACT_MAX_N",
@@ -30,7 +30,9 @@ __all__ = [
     "MinFactorResult",
 ]
 
-EXACT_MAX_N = 20
+# The exact table holds at most every column subset, 2^n entries, so up
+# to this n it always fits in MAX_STATES.
+EXACT_MAX_N = MAX_STATES.bit_length() - 1
 _MASK64 = (1 << 64) - 1
 
 
@@ -42,26 +44,31 @@ def derive_seed(seed: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplerConfig:
-    """Knobs for the samplers; ``auto`` picks exact when n <= 20."""
+    """Knobs for the samplers, checked when built; ``auto`` picks exact
+    when n <= EXACT_MAX_N."""
 
     backend: str = "auto"  # exact | mcmc | auto
     mcmc_steps: int | None = None  # default 5 * n^2 * d
     num_samples: int | None = None  # default max(10, ceil(4 * log2 n))
     seed: int = 0
 
+    def __post_init__(self):
+        if self.backend not in ("auto", "exact", "mcmc"):
+            raise BadParameters(f"unknown backend {self.backend!r}")
+        if self.mcmc_steps is not None and self.mcmc_steps < 1:
+            raise BadParameters("mcmc_steps must be positive")
+        if self.num_samples is not None and self.num_samples < 1:
+            raise BadParameters("num_samples must be positive")
+
     def resolve_backend(self, n: int) -> str:
         if self.backend == "auto":
             return "exact" if n <= EXACT_MAX_N else "mcmc"
-        if self.backend not in ("exact", "mcmc"):
-            raise BadParameters(f"unknown backend {self.backend!r}")
         return self.backend
 
     def resolve_steps(self, g: RegularDigraph) -> int:
         if self.mcmc_steps is not None:
-            if self.mcmc_steps < 1:
-                raise BadParameters("mcmc_steps must be positive")
             return self.mcmc_steps
         # Ten times 0.5 n^2 d, the smallest budget that matched the exact
         # law on every family swept (README, "MCMC step budget").
@@ -69,23 +76,22 @@ class SamplerConfig:
 
     def resolve_num_samples(self, n: int) -> int:
         if self.num_samples is not None:
-            if self.num_samples < 1:
-                raise BadParameters("num_samples must be positive")
             return self.num_samples
         return max(10, math.ceil(4 * math.log2(max(n, 2))))
 
 
-def hopcroft_karp(bip: BipartiteGraph) -> list[int]:
-    """Maximum matching of a bipartite graph; returns V-partner per U vertex
-    (-1 for unmatched). Deterministic: vertices scanned in index order.
+def hopcroft_karp(adj) -> list[int]:
+    """Maximum matching of the bipartite graph whose U-side vertex u is
+    joined to the V-side vertices ``adj[u]`` (n rows, n columns); returns
+    the V-partner of each U vertex (-1 for unmatched). Deterministic:
+    vertices scanned in index order.
 
     Each phase layers the graph by BFS from the free U vertices, then
     searches augmenting paths depth-first from each free U vertex in
     order. The search keeps its path on explicit stacks, so path length
     is not limited by Python's recursion depth.
     """
-    n = bip.n
-    adj = bip.adj
+    n = len(adj)
     match_u = [-1] * n
     match_v = [-1] * n
     INF = n + 1
@@ -153,7 +159,8 @@ class ExactFactorSampler:
     ways to assign vertices i..n-1 outside a column set ``used`` of size i.
     Each draw walks the count tree with a single uniform integer, which
     realises the count-ratio (permanent-ratio) sequential scheme exactly.
-    The table holds at most MAX_STATES entries, enough for any n <= 20.
+    The table holds at most MAX_STATES entries, enough for any
+    n <= EXACT_MAX_N.
     """
 
     def __init__(self, g: RegularDigraph):
@@ -203,12 +210,17 @@ class MCMCFactorSampler:
             raise BadParameters("step budget must be positive")
         self.graph = g
         self.steps = steps
-        bip = to_bipartite(g)
-        self._adj = bip.adj
-        self._in_adj = bip.in_adj()
-        self._out_sets = [set(row) for row in bip.adj]
+        # The auxiliary bipartite graph: row u joins the columns g.out_adj[u].
+        self._adj = g.out_adj
+        # Column rows; appending u in increasing order leaves each sorted.
+        in_adj: list[list[int]] = [[] for _ in range(g.n)]
+        for u, row in enumerate(g.out_adj):
+            for v in row:
+                in_adj[v].append(u)
+        self._in_adj = in_adj
+        self._out_sets = [set(row) for row in g.out_adj]
         # g is d-regular with d >= 1, so by König's theorem this is perfect.
-        self._init_match = hopcroft_karp(bip)
+        self._init_match = hopcroft_karp(g.out_adj)
 
     def sample(self, rng: random.Random) -> CycleFactor:
         """One draw from ``rng``'s stream.

@@ -211,6 +211,4 @@ def verify_tour(t: Tour, g: UndirectedRegularGraph) -> CheckReport:
     for v in range(g.n):
         if v not in covered:
             violations.append(f"UncoveredVertex: {v}")
-    if t.length != len(walk) - 1:
-        violations.append("LengthMismatch")
     return CheckReport(not violations, tuple(violations))

@@ -278,6 +278,9 @@ ERROR_CASES = [
         ["tour", "{tmp}/cliques.graph", "--seed", 2],
         2, "tour construction needs a connected graph", id="tour-disconnected"),
     pytest.param(
+        ["cyclefactor", "{tmp}/k4.digraph", "--seed", 1, "--mcmc-steps", 0],
+        2, "mcmc_steps must be positive", id="mcmc-steps-zero-on-exact-backend"),
+    pytest.param(
         ["bench", "{tmp}/none.json", "--out", "{tmp}/r.ndjson"],
         4, "cannot read manifest: " + _NO_FILE + "none.json'", id="manifest-unreadable"),
     pytest.param(
@@ -470,6 +473,17 @@ class TestBench:
         code, err, out = self.bench_raw(tmp_path, capsys, manifest)
         assert code == 2
         assert f"config {key} not an integer" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        pytest.param({"mcmc_steps": 0}, "mcmc_steps must be positive", id="mcmc_steps"),
+        pytest.param({"samples": 0}, "num_samples must be positive", id="samples"),
+        pytest.param({"backend": "bogus"}, "unknown backend 'bogus'", id="backend"),
+    ])
+    def test_config_value_out_of_range(self, tmp_path, capsys, config, message):
+        manifest = {"config": config, "instances": [{"family": "cycle", "n": 6, "d": 2}]}
+        code, err, out = self.bench_raw(tmp_path, capsys, manifest)
+        assert (code, err) == (2, f"bad manifest: {message}\n")
         assert not out.exists()
 
     def test_instance_n_not_integer(self, tmp_path, capsys):

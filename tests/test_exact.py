@@ -17,7 +17,6 @@ from cyclefactor.exact import (
     permanent,
 )
 from cyclefactor.graphs import (
-    BipartiteGraph,
     RegularDigraph,
     double_undirected,
     gen_family,
@@ -51,10 +50,10 @@ def brute_force_permanent(bip):
     # Independent oracle: direct sum over all permutations.
     import itertools
 
-    rows = [set(r) for r in bip.adj]
+    rows = [set(r) for r in bip]
     return sum(
-        all(p[i] in rows[i] for i in range(bip.n))
-        for p in itertools.permutations(range(bip.n))
+        all(p[i] in rows[i] for i in range(len(bip)))
+        for p in itertools.permutations(range(len(bip)))
     )
 
 
@@ -92,9 +91,7 @@ class TestPermanent:
             cp = list(range(7))
             rng.shuffle(rp)
             rng.shuffle(cp)
-            relabelled = BipartiteGraph(
-                7, 3, tuple(tuple(sorted(cp[v] for v in h.adj[rp[u]])) for u in range(7))
-            )
+            relabelled = tuple(tuple(sorted(cp[v] for v in h[rp[u]])) for u in range(7))
             assert permanent(relabelled) == base
 
     def test_state_budget(self, monkeypatch):

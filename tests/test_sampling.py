@@ -300,6 +300,13 @@ class TestMinCycleFactor:
         with pytest.raises(BadParameters):
             SamplerConfig(backend="bogus").resolve_backend(5)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"mcmc_steps": 0}, {"num_samples": 0}, {"backend": "bogus"},
+    ], ids=["mcmc_steps", "num_samples", "backend"])
+    def test_config_checked_when_built(self, kwargs):
+        with pytest.raises(BadParameters):
+            SamplerConfig(**kwargs)
+
     def test_reported_counts_match_backend_draws(self):
         g = complete_loops(5)
         cfg = SamplerConfig(seed=21, num_samples=8, backend="exact")

@@ -1,0 +1,80 @@
+"""Check that two source trees give the same CLI output on every benchmark op.
+
+Writes the four perfbench workloads' instances (20-second untimed rounds at
+``--seed``) once to a temporary directory, runs every op through
+``cyclefactor.cli.main`` under OLD_SRC and NEW_SRC, each in its own process,
+and prints the ops whose exit code, stdout, stderr or ``--out`` bytes differ.
+
+    python tools/same_outputs.py OLD_SRC NEW_SRC [--seed 1]
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+CHILD = r"""import contextlib, hashlib, io, json, os, sys
+from pathlib import Path
+import cyclefactor.cli as cli
+src, ops_file, out = sys.argv[1:]
+if not os.path.realpath(cli.__file__).startswith(src + os.sep):
+    sys.exit(f"cyclefactor imported from {cli.__file__}, not from {src}")
+for argv in json.loads(Path(ops_file).read_text()):
+    Path(out).unlink(missing_ok=True)
+    so, se = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(so), contextlib.redirect_stderr(se):
+        try:
+            code = cli.main([out if a == "{out}" else a for a in argv])
+        except SystemExit as e:
+            code = e.code
+        except Exception as e:
+            code = "raised " + type(e).__name__
+    data = Path(out).read_bytes() if os.path.exists(out) else b"(none)"
+    fields = (so.getvalue().encode(), se.getvalue().encode(), data)
+    print(json.dumps([code] + [hashlib.sha256(b).hexdigest() for b in fields]))
+"""
+FIELDS = ("exit code", "stdout", "stderr", "--out bytes")
+
+
+def run_tree(src: str, work: Path) -> list:
+    src = os.path.realpath(src)
+    proc = subprocess.run([sys.executable, "-c", CHILD, src, str(work / "ops.json"), str(work / "out")],
+                          cwd=work, env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, text=True, check=True)
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("old_src")
+    p.add_argument("new_src")
+    p.add_argument("--seed", type=int, default=1)
+    args = p.parse_args()
+    labels, ops = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for w, schedule in workloads.SCHEDULES.items():
+            (work / w).mkdir()
+            n_rounds = workloads.rounds(w, 20, False)
+            instances = workloads.make_instances(w, args.seed, n_rounds, work / w)
+            for rnd in range(n_rounds):
+                for slot, spec in enumerate(schedule):
+                    seed = workloads.op_seed(args.seed, rnd, slot)
+                    ops.append(workloads.op_argv(spec, instances[rnd][slot], seed, "{out}"))
+                    labels.append(f"{w} round {rnd} slot {slot} ({spec['cmd']})")
+        (work / "ops.json").write_text(json.dumps(ops), encoding="utf-8")
+        old, new = (run_tree(src, work) for src in (args.old_src, args.new_src))
+    differ = [(label, a, b) for label, a, b in zip(labels, old, new) if a != b]
+    for label, a, b in differ:
+        print(f"{label}: {', '.join(f for f, x, y in zip(FIELDS, a, b) if x != y)} differ")
+    print(f"{len(differ)} of {len(ops)} ops differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
