@@ -156,42 +156,50 @@ def reveal_audit(g: RegularDigraph) -> RevealAuditReport:
     out_masks = [sum(1 << v for v in row) for row in g.out_adj]
     n_fact = math.factorial(n)
 
-    # tallies[fi][i][s - 1] over all reveal orders
+    # table[prefix][i][fi] = (s - 1, log2(s) - h) for vertex i revealed
+    # after the vertex set `prefix` under factor fi: s counts the
+    # out-neighbours of i not yet taken by the prefix, and h is the entropy
+    # of sigma(i) over the factors that agree with factor fi on the prefix.
+    table: list[dict[int, list[tuple[int, float]]]] = []
+    for prefix in range(1 << n):
+        members = [v for v in range(n) if prefix >> v & 1]
+        pinned = [tuple(sig[v] for v in members) for sig in factors]
+        taken = [sum(1 << w for w in p) for p in pinned]
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for p, sig in zip(pinned, factors):
+            groups.setdefault(p, []).append(sig)
+        row = {}
+        for i in range(n):
+            if prefix >> i & 1:
+                continue
+            h_of = {}
+            for p, group in groups.items():
+                tally: dict[int, int] = {}
+                for sig in group:
+                    tally[sig[i]] = tally.get(sig[i], 0) + 1
+                h_of[p] = _entropy(c / len(group) for c in tally.values())
+            terms = []
+            for p, img in zip(pinned, taken):
+                s = (out_masks[i] & ~img).bit_count()
+                terms.append((s - 1, math.log2(s) - h_of[p]))
+            row[i] = terms
+        table.append(row)
+
+    # tallies[fi][i][s - 1] over all reveal orders; ell_total adds its
+    # terms order by order, then factor by factor, then position by position.
     tallies = [[[0] * d for _ in range(n)] for _ in factors]
     ell_total = 0.0
-    cond_cache: dict[tuple[int, tuple[int, ...], int], float] = {}
-
-    def conditional_entropy(i: int, prefix: tuple[int, ...], sigma_p) -> float:
-        # Entropy of sigma(i) given sigma agrees with sigma_p on prefix.
-        pinned = tuple(sigma_p[v] for v in prefix)
-        key = (i, prefix, pinned)
-        cached = cond_cache.get(key)
-        if cached is not None:
-            return cached
-        tally: dict[int, int] = {}
-        total = 0
-        for sig in factors:
-            if all(sig[v] == pv for v, pv in zip(prefix, pinned)):
-                tally[sig[i]] = tally.get(sig[i], 0) + 1
-                total += 1
-        h = _entropy(c / total for c in tally.values())
-        cond_cache[key] = h
-        return h
-
     for tau in permutations(range(n)):
-        prefix_sorted: list[tuple[int, ...]] = []
-        acc: list[int] = []
+        columns = []
+        prefix = 0
         for i in tau:
-            prefix_sorted.append(tuple(sorted(acc)))
-            acc.append(i)
-        for fi, sig in enumerate(factors):
-            img = 0
-            for pos, i in enumerate(tau):
-                s = (out_masks[i] & ~img).bit_count()
-                tallies[fi][i][s - 1] += 1
-                h = conditional_entropy(i, prefix_sorted[pos], sig)
-                ell_total += math.log2(s) - h
-                img |= 1 << sig[i]
+            columns.append((i, table[prefix][i]))
+            prefix |= 1 << i
+        for fi, tally_f in enumerate(tallies):
+            for i, terms in columns:
+                bucket, term = terms[fi]
+                tally_f[i][bucket] += 1
+                ell_total += term
 
     expected = n_fact // d
     failures = []

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cyclefactor import cli
+from cyclefactor import cli, exact
 from cyclefactor.cli import main
 from cyclefactor.graphs import (
     CycleFactor,
@@ -328,6 +328,14 @@ def test_failed_revalidation_exit_code_and_stderr(tmp_path, capsys, monkeypatch,
     assert got == (2, "", message + "\n")
 
 
+def test_verify_refused_at_census_budget(tmp_path, capsys, monkeypatch):
+    write_graph(gen_family("complete_loops", 4, 4), tmp_path / "k4.digraph")
+    monkeypatch.setattr(exact, "CENSUS_MAX_STATES", 4)
+    got = run(capsys, "verify", tmp_path / "k4.digraph")
+    assert got == (3, "", "infeasible: cycle census holds over 4 states at level 1;"
+                          " try the sampling subcommands instead\n")
+
+
 class TestBench:
     def manifest(self, tmp_path, seed=0):
         path = tmp_path / "manifest.json"
@@ -484,6 +492,13 @@ class TestBench:
         manifest = {"config": config, "instances": [{"family": "cycle", "n": 6, "d": 2}]}
         code, err, out = self.bench_raw(tmp_path, capsys, manifest)
         assert (code, err) == (2, f"bad manifest: {message}\n")
+        assert not out.exists()
+
+    def test_unknown_config_keys_rejected(self, tmp_path, capsys):
+        manifest = {"config": {"num_samples": 3, "mcmc-steps": 0},
+                    "instances": [{"family": "cycle", "n": 6, "d": 2}]}
+        code, err, out = self.bench_raw(tmp_path, capsys, manifest)
+        assert (code, err) == (2, "bad manifest: unknown config key(s) mcmc-steps, num_samples\n")
         assert not out.exists()
 
     def test_instance_n_not_integer(self, tmp_path, capsys):

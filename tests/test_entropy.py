@@ -169,3 +169,20 @@ class TestRevealAudit:
     def test_size_limit(self):
         with pytest.raises(SizeLimitExceeded):
             reveal_audit(gen_random_regular_digraph(7, 2, 0))
+
+    # The loss is a float sum over n! orders, factors and positions; these
+    # values pin the sum order (order, then factor, then position).
+    @pytest.mark.parametrize("rows, aggregated, direct", [
+        pytest.param(((0, 1, 2), (0, 1, 2), (0, 1, 2), (3, 4, 5), (3, 4, 5), (3, 4, 5)),
+                     "0x0.0p+0", "0x0.0p+0", id="complete_loops_6_3"),
+        pytest.param(((0, 2, 5), (0, 1, 3), (1, 2, 5), (0, 3, 4), (2, 4, 5), (1, 3, 4)),
+                     "0x1.fffffffffff28p-1", "0x1.0000000000000p+0", id="perm_union_6_3"),
+        pytest.param(((0, 2, 3, 4), (0, 1, 2, 3), (0, 1, 2, 4), (1, 2, 3, 4), (0, 1, 3, 4)),
+                     "0x1.164b451ebc926p-2", "0x1.164b451ebc8f0p-2", id="random_5_4"),
+    ])
+    def test_golden_report(self, rows, aggregated, direct):
+        report = reveal_audit(RegularDigraph(len(rows), len(rows[0]), rows))
+        assert report.uniform
+        assert report.tally_failures == ()
+        assert float.hex(report.aggregated_loss) == aggregated
+        assert float.hex(report.direct_loss) == direct

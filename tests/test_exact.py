@@ -136,6 +136,61 @@ class TestEnumeration:
         assert cycle_sum == sum(f.num_cycles for f in factors)
 
 
+def enumerated_census(g):
+    factors = enumerate_cycle_factors(g)
+    return len(factors), sum(f.num_cycles for f in factors)
+
+
+def harmonic(k):
+    return sum(Fraction(1, j) for j in range(1, k + 1))
+
+
+class TestCycleCensus:
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    @pytest.mark.parametrize("loops", [True, False], ids=["loops", "no_loops"])
+    def test_agrees_with_enumeration_on_random_digraphs(self, seed, loops):
+        rng = random.Random(seed)
+        for _ in range(12):
+            n = rng.randint(2, 10)
+            d = rng.randint(1, min(n - 1, 5))
+            g = gen_random_regular_digraph(n, d, rng.randrange(10**6), allow_loops=loops)
+            assert factor_census(g) == enumerated_census(g), (n, d)
+
+    @pytest.mark.parametrize("family, n, d", [
+        ("cycle", 10, 2), ("cycle", 9, 2), ("clique_union", 8, 3), ("clique_union", 10, 4),
+    ])
+    def test_agrees_with_enumeration_on_doubled_families(self, family, n, d):
+        g = double_undirected(gen_family(family, n, d))
+        assert factor_census(g) == enumerated_census(g)
+
+    def test_complete_loops_past_enumeration_cap(self):
+        # Four disjoint K5 with loops: (5!)^4 factors, E = 4 H_5.
+        count, cycle_sum = exact.cycle_census(gen_family("complete_loops", 20, 5))
+        assert count == math.factorial(5) ** 4 > exact.ENUMERATION_MAX_COUNT
+        assert Fraction(cycle_sum, count) == 4 * harmonic(5)
+
+    def test_k12_past_enumeration_cap(self):
+        count, cycle_sum = exact.cycle_census(complete_loops(12))
+        assert count == math.factorial(12)
+        assert Fraction(cycle_sum, count) == harmonic(12)
+
+    def test_state_budget(self, monkeypatch):
+        # K8 with loops: the levels |S| = 5 and 6 hold 259 + 245 = 504
+        # states, more than any other adjacent pair.
+        monkeypatch.setattr(exact, "CENSUS_MAX_STATES", 503)
+        with pytest.raises(SizeLimitExceeded, match="over 503 states at level 5"):
+            exact.cycle_census(complete_loops(8))
+        monkeypatch.setattr(exact, "CENSUS_MAX_STATES", 504)
+        count, cycle_sum = exact.cycle_census(complete_loops(8))
+        assert (count, Fraction(cycle_sum, count)) == (math.factorial(8), harmonic(8))
+
+    def test_budget_refusal_in_census(self, monkeypatch):
+        # The guard passes (36 factors); the census itself is refused.
+        monkeypatch.setattr(exact, "CENSUS_MAX_STATES", 4)
+        with pytest.raises(SizeLimitExceeded, match="cycle census holds over 4 states"):
+            factor_census(gen_family("complete_loops", 6, 3))
+
+
 class TestExpectedCycles:
     def test_complete_3(self):
         assert exact_expected_cycles(complete_loops(3)) == Fraction(11, 6)
