@@ -31,7 +31,9 @@ __all__ = [
 ]
 
 # The exact table holds at most every column subset, 2^n entries, so up
-# to this n it always fits in MAX_STATES.
+# to this n it fits in MAX_STATES whatever order completion_levels pushes
+# the rows in. Past it, the fit depends on the widths of the levels in
+# frontier order (doubled C40 needs 421 entries), not on n.
 EXACT_MAX_N = MAX_STATES.bit_length() - 1
 _MASK64 = (1 << 64) - 1
 
@@ -155,35 +157,41 @@ def hopcroft_karp(adj) -> list[int]:
 class ExactFactorSampler:
     """Exactly uniform cycle-factor sampler.
 
-    ``_counts`` holds every level of ``completion_levels``: the number of
-    ways to assign vertices i..n-1 outside a column set ``used`` of size i.
-    Each draw walks the count tree with a single uniform integer, which
-    realises the count-ratio (permanent-ratio) sequential scheme exactly.
-    The table holds at most MAX_STATES entries, enough for any
-    n <= EXACT_MAX_N.
+    ``_counts`` holds every level of ``completion_levels``, which pushes
+    the rows in frontier order: for a column set S, the number of ways to
+    match the first n - |S| rows pushed onto the columns outside S. A draw
+    walks the rows in reverse push order, so S is the set of columns taken
+    by the rows walked so far, and picks each row's column with a single
+    uniform integer, which realises the count-ratio (permanent-ratio)
+    sequential scheme exactly. The table holds at most MAX_STATES entries,
+    enough for any n <= EXACT_MAX_N.
     """
 
     def __init__(self, g: RegularDigraph):
         self.graph = g
         self._counts: dict[int, int] = {}
-        for level in completion_levels(g.out_adj):
+        pushed = []
+        for row, level in completion_levels(g.out_adj):
+            if row is not None:
+                pushed.append(row)
             self._counts.update(level)
             if len(self._counts) > MAX_STATES:
                 raise SizeLimitExceeded(f"exact sampler table holds over {MAX_STATES} column sets")
+        self._walk = [(row, g.out_adj[row]) for row in reversed(pushed)]
         self.total = self._counts.get(0, 0)
 
     def sample(self, rng: random.Random) -> CycleFactor:
         r = rng.randrange(self.total)
-        sigma = []
+        sigma = [0] * self.graph.n
         used = 0
-        for row in self.graph.out_adj:
-            for v in row:
+        for row, cols in self._walk:
+            for v in cols:
                 bit = 1 << v
                 if used & bit:
                     continue
                 c = self._counts.get(used | bit, 0)
                 if r < c:
-                    sigma.append(v)
+                    sigma[row] = v
                     used |= bit
                     break
                 r -= c

@@ -101,6 +101,14 @@ class TestVerify:
         code, _, err = run(capsys, "verify", path)
         assert code == 3
 
+    def test_sparse_past_n20(self, tmp_path, capsys):
+        # n = 60, d = 2: the counting pass stays narrow in frontier order.
+        path = tmp_path / "g.digraph"
+        run(capsys, "gen", "random", "--n", 60, "--d", 2, "--seed", 1, "--out", path)
+        code, out, _ = run(capsys, "verify", path)
+        assert code == 0
+        assert "FAIL" not in out
+
     def test_one_regular_past_any_n_cap(self, tmp_path, capsys):
         path = tmp_path / "g.digraph"
         path.write_text("digraph 2000 1\n" + "".join(f"{(i + 1) % 2000}\n" for i in range(2000)))

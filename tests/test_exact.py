@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cyclefactor import exact
+from cyclefactor import exact, sampling
 from cyclefactor.errors import SizeLimitExceeded
 from cyclefactor.exact import (
     audit_bounds,
@@ -14,6 +14,7 @@ from cyclefactor.exact import (
     enumerate_cycle_factors,
     exact_expected_cycles,
     factor_census,
+    iter_factor_sigmas,
     permanent,
 )
 from cyclefactor.graphs import (
@@ -23,6 +24,7 @@ from cyclefactor.graphs import (
     gen_random_regular_digraph,
     to_bipartite,
 )
+from cyclefactor.sampling import ExactFactorSampler
 
 
 def complete_loops(n):
@@ -110,6 +112,48 @@ class TestPermanent:
         # factors from the two perfect matchings of C40.
         doubled = double_undirected(gen_family("cycle", 40, 2))
         assert permanent(to_bipartite(doubled)) == 4
+
+
+class TestFrontierOrder:
+    def test_matches_brute_force_and_enumeration_off_index_order(self):
+        # Only instances whose push order is not 0, 1, ..., n-1 count.
+        rng = random.Random(6)
+        checked = 0
+        while checked < 12:
+            n = rng.randint(4, 7)
+            d = rng.randint(2, n - 1)
+            g = gen_random_regular_digraph(n, d, rng.randrange(10**6))
+            h = to_bipartite(g)
+            if exact._frontier_order(h) == list(range(n)):
+                continue
+            assert permanent(h) == brute_force_permanent(h) == sum(1 for _ in iter_factor_sigmas(g))
+            checked += 1
+
+    def test_order_is_greedy_on_touched_columns(self):
+        # Row 0 touches columns 1 and 39; rows 2 and 38 then tie at one
+        # touched column each, and the lower index goes first.
+        doubled = double_undirected(gen_family("cycle", 40, 2))
+        assert exact._frontier_order(doubled.out_adj)[:4] == [0, 2, 4, 6]
+
+    def test_doubled_c40_fits_a_narrow_budget(self, monkeypatch):
+        # Frontier order needs 421 table entries here; index order 5,551.
+        monkeypatch.setattr(exact, "MAX_STATES", 1_000)
+        monkeypatch.setattr(sampling, "MAX_STATES", 1_000)
+        doubled = double_undirected(gen_family("cycle", 40, 2))
+        assert permanent(to_bipartite(doubled)) == 4
+        sampler = ExactFactorSampler(doubled)
+        assert (sampler.total, len(sampler._counts)) == (4, 421)
+        rng = random.Random(0)
+        assert all(sampler.sample(rng).is_factor_of(doubled) for _ in range(10))
+
+    def test_golden_exact_draw(self):
+        # Pins the walk order: another order draws another factor for the
+        # same seed (walking rows 0, 1, ..., 11 draws
+        # (11, 7, 1, 10, 0, 2, 9, 6, 4, 3, 8, 5)).
+        g = gen_random_regular_digraph(12, 3, 5)
+        cf = ExactFactorSampler(g).sample(random.Random(0))
+        assert cf.sigma == (11, 8, 7, 9, 6, 10, 2, 0, 5, 3, 4, 1)
+        assert cf.is_factor_of(g)
 
 
 class TestEnumeration:
