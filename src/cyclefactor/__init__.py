@@ -23,7 +23,6 @@ from .exact import (
     audit_bounds,
     build_report,
     entropy_loss,
-    enumerate_cycle_factors,
     exact_expected_cycles,
     permanent,
 )

@@ -69,7 +69,7 @@ def _emit(payload: dict, out: str | None) -> None:
 def _load_graph(path: str):
     try:
         return read_graph(path)
-    except FileNotFoundError as e:
+    except OSError as e:
         raise OSError(f"cannot read {path}: {e}") from None
     except (ParseError, FormatMismatch) as e:
         raise BadParameters(f"bad graph file {path}: {e}") from None
@@ -316,6 +316,8 @@ def _existing_keys(out_path: Path) -> set:
         data = out_path.read_bytes()
     except FileNotFoundError:
         return set()
+    except OSError as e:
+        raise OSError(f"cannot read results: {e}") from None
     complete = data[: data.rfind(b"\n") + 1]
     keys = set()
     for lineno, line in enumerate(complete.splitlines(), start=1):
@@ -335,7 +337,7 @@ def _existing_keys(out_path: Path) -> set:
 def cmd_bench(args) -> int:
     try:
         manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-    except FileNotFoundError as e:
+    except OSError as e:
         raise OSError(f"cannot read manifest: {e}") from None
     except ValueError as e:  # not JSON, or not UTF-8
         raise BadParameters(f"bad manifest: {e}") from None

@@ -4,10 +4,12 @@ One counting pass over column sets (``completion_levels``, rows pushed
 in frontier order, exact big integers, bounded by MAX_STATES states per
 level), a dynamic programme over cycles in canonical order that gives
 the factor count and the total cycle count without listing factors
-(``cycle_census``, bounded by CENSUS_MAX_STATES states held), exhaustive
-cycle-factor enumeration for callers that need the factors themselves,
-exact expected cycle count as a rational, the matching-count bound
-audits, and the entropy-loss ledger.
+(``cycle_census``, bounded by CENSUS_MAX_STATES states held), a
+depth-first walk over the factors for the small instances that need
+them listed (``iter_factor_sigmas``), exact expected cycle count as a
+rational, the matching-count bound audits, and the entropy-loss ledger.
+The two state budgets are the only limits: no instance is refused for
+its number of factors.
 """
 
 from __future__ import annotations
@@ -19,17 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeLimitExceeded
-from .graphs import CycleFactor, RegularDigraph
+from .graphs import RegularDigraph
 
 __all__ = [
     "MAX_STATES",
     "CENSUS_MAX_STATES",
-    "ENUMERATION_MAX_COUNT",
     "BoundCheck",
     "OracleReport",
     "completion_levels",
     "permanent",
-    "enumerate_cycle_factors",
     "iter_factor_sigmas",
     "exact_expected_cycles",
     "cycle_bound",
@@ -42,7 +42,6 @@ MAX_STATES = 1 << 20
 # A census state costs about 160 bytes, so a census refused here peaks
 # near 170 MB of RSS (random n=24 d=4).
 CENSUS_MAX_STATES = 1 << 20
-ENUMERATION_MAX_COUNT = 10**6
 
 
 @dataclass(frozen=True)
@@ -204,29 +203,6 @@ def iter_factor_sigmas(g: RegularDigraph):
         stack.append(iter(out_adj[i + 1]))
 
 
-def _guard_enumeration(g: RegularDigraph) -> int:
-    # Van der Waerden (Egorychev, Falikman): count >= n! * d^n / n^n, so a
-    # large lower bound refuses before any counting.
-    if math.factorial(g.n) * g.d**g.n > ENUMERATION_MAX_COUNT * g.n**g.n:
-        raise SizeLimitExceeded(
-            f"instance has over n!(d/n)^n > {ENUMERATION_MAX_COUNT} cycle-factors, past the cap"
-        )
-    count = permanent(g.out_adj)
-    if count > ENUMERATION_MAX_COUNT:
-        raise SizeLimitExceeded(
-            f"instance has {count} cycle-factors, enumeration capped at {ENUMERATION_MAX_COUNT}"
-        )
-    return count
-
-
-def enumerate_cycle_factors(g: RegularDigraph) -> list[CycleFactor]:
-    """All cycle-factors of g, complete and duplicate-free."""
-    expected = _guard_enumeration(g)
-    factors = [CycleFactor.from_sigma(s) for s in iter_factor_sigmas(g)]
-    assert len(factors) == expected
-    return factors
-
-
 def cycle_census(g: RegularDigraph) -> tuple[int, int]:
     """(number of cycle-factors, total cycle count over all of them),
     without listing factors.
@@ -304,10 +280,11 @@ def cycle_census(g: RegularDigraph) -> tuple[int, int]:
 def factor_census(g: RegularDigraph) -> tuple[int, int]:
     """(number of cycle-factors, total cycle count over all of them).
 
-    Refused, as enumeration is, past ENUMERATION_MAX_COUNT factors; the
-    count from ``cycle_census`` must equal the permanent the guard took.
+    Counts twice, by independent methods: the count from ``cycle_census``
+    must equal the permanent from the counting pass. Refused only when
+    either runs past its state budget.
     """
-    expected = _guard_enumeration(g)
+    expected = permanent(g.out_adj)
     count, cycle_sum = cycle_census(g)
     assert count == expected
     return count, cycle_sum

@@ -8,6 +8,7 @@ from cyclefactor.graphs import (
     CycleFactor,
     RegularDigraph,
     gen_family,
+    gen_random_regular_digraph,
     read_graph,
     to_bipartite,
     write_graph,
@@ -98,8 +99,18 @@ class TestVerify:
     def test_infeasible_size(self, tmp_path, capsys):
         path = tmp_path / "g.digraph"
         run(capsys, "gen", "random", "--n", 40, "--d", 4, "--seed", 1, "--out", path)
-        code, _, err = run(capsys, "verify", path)
-        assert code == 3
+        got = run(capsys, "verify", path)
+        assert got == (3, "", "infeasible: counting level 25 holds over 1048576 column sets;"
+                              " try the sampling subcommands instead\n")
+
+    def test_complete_loops_past_old_factor_cap(self, tmp_path, capsys):
+        # K12 with loops: 12! factors, far past the 10^6 at which verify
+        # once refused; both state budgets hold it, and E = H_12.
+        path = tmp_path / "k12.digraph"
+        run(capsys, "gen", "complete_loops", "--n", 12, "--d", 12, "--out", path)
+        code, out, _ = run(capsys, "verify", path)
+        assert code == 0
+        assert "factors=479001600 E[cycles]=86021/27720 " in out
 
     def test_sparse_past_n20(self, tmp_path, capsys):
         # n = 60, d = 2: the counting pass stays narrow in frontier order.
@@ -243,7 +254,7 @@ class TestEntropyCheck:
 def _error_inputs(tmp):
     write_graph(gen_family("complete_loops", 4, 4), tmp / "k4.digraph")
     write_graph(gen_family("clique_union", 8, 3), tmp / "cliques.graph")
-    write_graph(gen_family("complete_loops", 12, 12), tmp / "k12.digraph")
+    write_graph(gen_random_regular_digraph(60, 10, 1), tmp / "random60.digraph")
     (tmp / "bad.digraph").write_text("digraph 2 1\n1\n1\n")
     (tmp / "notjson.json").write_text("{")
     (tmp / "list.json").write_text("[]")
@@ -273,8 +284,11 @@ ERROR_CASES = [
         2, "bad graph file {tmp}/bad.digraph: vertex 0 has in-degree 0, expected 1",
         id="malformed-graph-file"),
     pytest.param(
-        ["verify", "{tmp}/k12.digraph"],
-        3, "infeasible: instance has over n!(d/n)^n > 1000000 cycle-factors, past the cap;"
+        ["verify", "{tmp}"],
+        4, "cannot read {tmp}: [Errno 21] Is a directory: '{tmp}'", id="graph-file-is-directory"),
+    pytest.param(
+        ["verify", "{tmp}/random60.digraph"],
+        3, "infeasible: counting level 53 holds over 1048576 column sets;"
         " try the sampling subcommands instead", id="verify-infeasible"),
     pytest.param(
         ["pathfactor", "{tmp}/k4.digraph", "--seed", 1],
@@ -292,6 +306,9 @@ ERROR_CASES = [
         ["bench", "{tmp}/none.json", "--out", "{tmp}/r.ndjson"],
         4, "cannot read manifest: " + _NO_FILE + "none.json'", id="manifest-unreadable"),
     pytest.param(
+        ["bench", "{tmp}", "--out", "{tmp}/r.ndjson"],
+        4, "cannot read manifest: [Errno 21] Is a directory: '{tmp}'", id="manifest-is-directory"),
+    pytest.param(
         ["bench", "{tmp}/notjson.json", "--out", "{tmp}/r.ndjson"],
         2, "bad manifest: Expecting property name enclosed in double quotes:"
         " line 1 column 2 (char 1)", id="manifest-not-json"),
@@ -308,6 +325,9 @@ ERROR_CASES = [
     pytest.param(
         ["bench", "{tmp}/empty.json", "--out", "{tmp}/nodir/r.ndjson"],
         4, "cannot write results: " + _NO_FILE + "nodir/r.ndjson'", id="results-unwritable"),
+    pytest.param(
+        ["bench", "{tmp}/empty.json", "--out", "{tmp}"],
+        4, "cannot read results: [Errno 21] Is a directory: '{tmp}'", id="results-is-directory"),
 ]
 
 
@@ -341,6 +361,15 @@ def test_verify_refused_at_census_budget(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(exact, "CENSUS_MAX_STATES", 4)
     got = run(capsys, "verify", tmp_path / "k4.digraph")
     assert got == (3, "", "infeasible: cycle census holds over 4 states at level 1;"
+                          " try the sampling subcommands instead\n")
+
+
+def test_verify_refused_at_counting_budget(tmp_path, capsys, monkeypatch):
+    # K4 with loops: the second row pushed reaches all C(4, 2) = 6 sets.
+    write_graph(gen_family("complete_loops", 4, 4), tmp_path / "k4.digraph")
+    monkeypatch.setattr(exact, "MAX_STATES", 5)
+    got = run(capsys, "verify", tmp_path / "k4.digraph")
+    assert got == (3, "", "infeasible: counting level 2 holds over 5 column sets;"
                           " try the sampling subcommands instead\n")
 
 

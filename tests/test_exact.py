@@ -11,7 +11,6 @@ from cyclefactor.exact import (
     audit_bounds,
     build_report,
     entropy_loss,
-    enumerate_cycle_factors,
     exact_expected_cycles,
     factor_census,
     iter_factor_sigmas,
@@ -25,6 +24,7 @@ from cyclefactor.graphs import (
     to_bipartite,
 )
 from cyclefactor.sampling import ExactFactorSampler
+from factor_listing import enumerate_cycle_factors
 
 
 def complete_loops(n):
@@ -208,9 +208,11 @@ class TestCycleCensus:
         assert factor_census(g) == enumerated_census(g)
 
     def test_complete_loops_past_enumeration_cap(self):
-        # Four disjoint K5 with loops: (5!)^4 factors, E = 4 H_5.
-        count, cycle_sum = exact.cycle_census(gen_family("complete_loops", 20, 5))
-        assert count == math.factorial(5) ** 4 > exact.ENUMERATION_MAX_COUNT
+        # Four disjoint K5 with loops: (5!)^4 factors, E = 4 H_5; past the
+        # 10^6 factors at which verify once refused, the census count is
+        # still checked against the permanent.
+        count, cycle_sum = factor_census(gen_family("complete_loops", 20, 5))
+        assert count == math.factorial(5) ** 4 > 10**6
         assert Fraction(cycle_sum, count) == 4 * harmonic(5)
 
     def test_k12_past_enumeration_cap(self):
@@ -229,7 +231,7 @@ class TestCycleCensus:
         assert (count, Fraction(cycle_sum, count)) == (math.factorial(8), harmonic(8))
 
     def test_budget_refusal_in_census(self, monkeypatch):
-        # The guard passes (36 factors); the census itself is refused.
+        # The counting pass fits (36 factors); the census itself is refused.
         monkeypatch.setattr(exact, "CENSUS_MAX_STATES", 4)
         with pytest.raises(SizeLimitExceeded, match="cycle census holds over 4 states"):
             factor_census(gen_family("complete_loops", 6, 3))

@@ -280,6 +280,16 @@ class TestIo:
         g = parse_graph("# a comment\ndigraph 1 1\n# another\n0\n")
         assert g == RegularDigraph(1, 1, ((0,),))
 
+    @pytest.mark.parametrize("text, message", [
+        ("digraph 3 1 # header\n1\n2\n0\n", "line 1: bad header 'digraph 3 1 # header'"),
+        ("digraph 3 1\n1  # to 1\n2\n0\n", "line 2: non-integer vertex in '1  # to 1'"),
+    ])
+    def test_trailing_comment_rejected(self, text, message):
+        # Only whole lines are comments; a '#' after content is content.
+        with pytest.raises(ParseError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == message
+
     def test_missing_lines(self):
         with pytest.raises(ParseError):
             parse_graph("digraph 3 1\n1\n2\n")

@@ -8,7 +8,7 @@ import pytest
 
 from cyclefactor import sampling
 from cyclefactor.errors import BadParameters, SizeLimitExceeded, StepBudgetExhausted
-from cyclefactor.exact import enumerate_cycle_factors, exact_expected_cycles
+from cyclefactor.exact import exact_expected_cycles
 from cyclefactor.graphs import (
     RegularDigraph,
     double_undirected,
@@ -24,6 +24,7 @@ from cyclefactor.sampling import (
     min_cycle_factor,
 )
 from cyclefactor.graphs import to_bipartite
+from factor_listing import enumerate_cycle_factors
 
 
 def complete_loops(n):

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from cyclefactor.errors import BadParameters, GraphDisconnected
-from cyclefactor.exact import enumerate_cycle_factors
 from cyclefactor.graphs import (
     CycleFactor,
     UndirectedRegularGraph,
@@ -20,6 +19,7 @@ from cyclefactor.transforms import (
     verify_path_factor,
     verify_tour,
 )
+from factor_listing import enumerate_cycle_factors
 
 # Outer 5-cycle 0..4, inner pentagram 5-7-9-6-8, spokes i -- i + 5.
 PETERSEN = UndirectedRegularGraph.from_lists(
