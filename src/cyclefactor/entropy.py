@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import InvalidDistribution, OutOfRange, SizeLimitExceeded
-from .exact import entropy_loss, iter_factor_sigmas
+from .exact import entropy_loss
 from .graphs import RegularDigraph
 
 __all__ = [
@@ -152,8 +152,13 @@ def reveal_audit(g: RegularDigraph) -> RevealAuditReport:
     n, d = g.n, g.d
     if n > REVEAL_MAX_N:
         raise SizeLimitExceeded(f"reveal audit limited to n <= {REVEAL_MAX_N}, got {n}")
-    factors = list(iter_factor_sigmas(g))  # at most n! <= 720
     out_masks = [sum(1 << v for v in row) for row in g.out_adj]
+    # At most n! <= 720 permutations, in lexicographic order.
+    factors = [
+        sig
+        for sig in permutations(range(n))
+        if all(out_masks[i] >> v & 1 for i, v in enumerate(sig))
+    ]
     n_fact = math.factorial(n)
 
     # table[prefix][i][fi] = (s - 1, log2(s) - h) for vertex i revealed

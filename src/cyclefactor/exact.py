@@ -3,10 +3,9 @@
 One counting pass over column sets (``completion_levels``, rows pushed
 in frontier order, exact big integers, bounded by MAX_STATES states per
 level), a dynamic programme over cycles in canonical order that gives
-the factor count and the total cycle count without listing factors
-(``cycle_census``, bounded by CENSUS_MAX_STATES states held), a
-depth-first walk over the factors for the small instances that need
-them listed (``iter_factor_sigmas``), exact expected cycle count as a
+the law of the cycle count (the number of factors with each cycle
+count) without listing factors (``cycle_law``, bounded by
+CENSUS_MAX_STATES states held), exact expected cycle count as a
 rational, the matching-count bound audits, and the entropy-loss ledger.
 The two state budgets are the only limits: no instance is refused for
 its number of factors.
@@ -30,7 +29,7 @@ __all__ = [
     "OracleReport",
     "completion_levels",
     "permanent",
-    "iter_factor_sigmas",
+    "cycle_law",
     "exact_expected_cycles",
     "cycle_bound",
     "audit_bounds",
@@ -39,8 +38,8 @@ __all__ = [
 ]
 
 MAX_STATES = 1 << 20
-# A census state costs about 160 bytes, so a census refused here peaks
-# near 170 MB of RSS (random n=24 d=4).
+# A census state costs about 120 bytes, so a census refused here peaks
+# near 140 MB of RSS (random n=24 d=4).
 CENSUS_MAX_STATES = 1 << 20
 
 
@@ -171,55 +170,23 @@ def permanent(out_adj) -> int:
     return level.get(0, 0)
 
 
-def iter_factor_sigmas(g: RegularDigraph):
-    """Yield every permutation sigma with all arcs (i, sigma[i]) in g.
-
-    Depth-first matching extension with sorted branching, on an explicit
-    stack of row iterators (rows 0..i of the current partial assignment);
-    duplicates are impossible by construction. No feasibility guard; callers wanting one
-    should check the permanent first.
-    """
-    n = g.n
-    out_adj = g.out_adj
-    sigma = [0] * n
-    used = 0
-    stack = [iter(out_adj[0])]
-    while stack:
-        i = len(stack) - 1
-        for v in stack[i]:
-            bit = 1 << v
-            if not used & bit:
-                break
-        else:
-            stack.pop()
-            if i:
-                used ^= 1 << sigma[i - 1]
-            continue
-        sigma[i] = v
-        if i + 1 == n:
-            yield tuple(sigma)
-            continue
-        used |= bit
-        stack.append(iter(out_adj[i + 1]))
-
-
-def cycle_census(g: RegularDigraph) -> tuple[int, int]:
-    """(number of cycle-factors, total cycle count over all of them),
-    without listing factors.
+def cycle_law(g: RegularDigraph) -> dict[int, int]:
+    """The law of the cycle count over g's cycle-factors, without listing
+    them: {c: number of factors with exactly c cycles}, in increasing c.
 
     Builds every factor one cycle at a time in canonical order: a cycle
     starts at the lowest uncovered vertex s, steps only into uncovered
     vertices and closes by stepping back to s. A state is (covered set S,
-    start s, head h), holding the number of partial factors that reach it
-    and their closed cycles in total; level k holds the states with
-    |S| = k. A state is dropped once some column still owed an in-arc (one
-    outside S, or s) has no in-neighbour among the rows still owed an
-    out-arc (those outside S, plus h), or once such a row has no
-    out-neighbour among such columns: it completes to no factor, so the
-    totals are unchanged. Raises SizeLimitExceeded as soon as the two
-    levels in hand hold more than CENSUS_MAX_STATES states.
+    start s, head h), holding the law of the closed cycles over the partial
+    factors that reach it; level k holds the states with |S| = k. A state
+    is dropped once some column still owed an in-arc (one outside S, or s)
+    has no in-neighbour among the rows still owed an out-arc (those outside
+    S, plus h), or once such a row has no out-neighbour among such columns:
+    it completes to no factor, so the law is unchanged. Raises
+    SizeLimitExceeded as soon as the two levels in hand hold more than
+    CENSUS_MAX_STATES states.
     """
-    n = g.n
+    n, d = g.n, g.d
     out_adj = g.out_adj
     out_mask = [sum(1 << v for v in row) for row in out_adj]
     in_mask = [0] * n
@@ -229,14 +196,19 @@ def cycle_census(g: RegularDigraph) -> tuple[int, int]:
             in_mask[c] |= 1 << r
             in_adj[c].append(r)
     full = (1 << n) - 1
-    count = cycle_sum = 0
+    # A state's value is the polynomial sum of ways_c * x^c at x = 2^b, where
+    # ways_c partial factors reaching it have closed c cycles. At most d^n
+    # partial factors reach a state and d^n < 2^b, so no digit carries into
+    # the next: closing a cycle is a shift by b, merging two states a sum.
+    b = n * d.bit_length() + 1
+    total = 0
     # The state (covered, s, h) is keyed by covered << 2w | s << w | h.
     w = n.bit_length()
     vertex = (1 << w) - 1
-    level = {1 << 2 * w: (1, 0)}
+    level = {1 << 2 * w: 1}
     for k in range(1, n + 1):
-        nxt: dict[int, tuple[int, int]] = {}
-        for state, (ways, cycles) in level.items():
+        nxt: dict[int, int] = {}
+        for state, value in level.items():
             covered, s, h = state >> 2 * w, state >> w & vertex, state & vertex
             rest = full ^ covered
             # After any step from h the rows owed an out-arc are `rest`, so
@@ -249,45 +221,50 @@ def cycle_census(g: RegularDigraph) -> tuple[int, int]:
             for v in dead or out_adj[h]:
                 if v == s:
                     if not rest:
-                        count += ways
-                        cycle_sum += cycles + ways
+                        total += value << b
                         continue
                     owed = rest
                     low = rest & -rest
                     start = low.bit_length() - 1
                     key = (covered | low) << 2 * w | start << w | start
-                    value = (ways, cycles + ways)
+                    stepped = value << b
                 elif rest >> v & 1:
                     owed = rest ^ 1 << v | 1 << s
                     key = (covered | 1 << v) << 2 * w | s << w | v
-                    value = (ways, cycles)
+                    stepped = value
                 else:
                     continue
                 # The step leaves the columns `owed` owed an in-arc; each row
                 # of `rest` that could fill v must keep one of them.
                 if any(rest >> r & 1 and not out_mask[r] & owed for r in in_adj[v]):
                     continue
-                old = nxt.get(key)
-                nxt[key] = value if old is None else (old[0] + value[0], old[1] + value[1])
+                nxt[key] = nxt.get(key, 0) + stepped
             if len(level) + len(nxt) > CENSUS_MAX_STATES:
                 raise SizeLimitExceeded(
                     f"cycle census holds over {CENSUS_MAX_STATES} states at level {k}"
                 )
         level = nxt
-    return count, cycle_sum
+    digit = (1 << b) - 1
+    law = {}
+    for c in range(1, n + 1):
+        ways = total >> c * b & digit
+        if ways:
+            law[c] = ways
+    return law
 
 
 def factor_census(g: RegularDigraph) -> tuple[int, int]:
     """(number of cycle-factors, total cycle count over all of them).
 
-    Counts twice, by independent methods: the count from ``cycle_census``
+    Counts twice, by independent methods: the count from ``cycle_law``
     must equal the permanent from the counting pass. Refused only when
     either runs past its state budget.
     """
     expected = permanent(g.out_adj)
-    count, cycle_sum = cycle_census(g)
+    law = cycle_law(g)
+    count = sum(law.values())
     assert count == expected
-    return count, cycle_sum
+    return count, sum(c * ways for c, ways in law.items())
 
 
 def exact_expected_cycles(g: RegularDigraph) -> Fraction:

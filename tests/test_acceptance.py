@@ -16,7 +16,7 @@ from scipy.stats import chisquare
 
 from cyclefactor.cli import main as cli_main
 from cyclefactor.entropy import check_skew_lemma, reveal_audit
-from cyclefactor.exact import entropy_loss, iter_factor_sigmas, permanent
+from cyclefactor.exact import entropy_loss, permanent
 from cyclefactor.graphs import (
     RegularDigraph,
     UndirectedRegularGraph,
@@ -38,6 +38,7 @@ from cyclefactor.transforms import (
     verify_path_factor,
     verify_tour,
 )
+from factor_listing import iter_factor_sigmas
 
 
 def report(name, ok, detail=""):

@@ -13,7 +13,6 @@ from cyclefactor.exact import (
     entropy_loss,
     exact_expected_cycles,
     factor_census,
-    iter_factor_sigmas,
     permanent,
 )
 from cyclefactor.graphs import (
@@ -24,7 +23,7 @@ from cyclefactor.graphs import (
     to_bipartite,
 )
 from cyclefactor.sampling import ExactFactorSampler
-from factor_listing import enumerate_cycle_factors
+from factor_listing import enumerate_cycle_factors, iter_factor_sigmas
 
 
 def complete_loops(n):
@@ -180,13 +179,29 @@ class TestEnumeration:
         assert cycle_sum == sum(f.num_cycles for f in factors)
 
 
-def enumerated_census(g):
-    factors = enumerate_cycle_factors(g)
-    return len(factors), sum(f.num_cycles for f in factors)
+def listed_census(g):
+    """(count, cycle sum) and the cycle-count law of g's listed factors."""
+    counts = [f.num_cycles for f in enumerate_cycle_factors(g)]
+    return (len(counts), sum(counts)), Counter(counts)
 
 
 def harmonic(k):
     return sum(Fraction(1, j) for j in range(1, k + 1))
+
+
+def stirling_law(d, copies=1):
+    """{c: coefficient of x^c} in (x (x+1) ... (x+d-1))^copies, the
+    cycle-count law of `copies` disjoint K_d with loops; for one copy, the
+    unsigned Stirling numbers of the first kind c(d, c)."""
+    law = {0: 1}
+    for j in list(range(d)) * copies:
+        nxt = Counter()
+        for c, ways in law.items():
+            nxt[c + 1] += ways
+            if j:
+                nxt[c] += j * ways
+        law = nxt
+    return dict(law)
 
 
 class TestCycleCensus:
@@ -198,14 +213,32 @@ class TestCycleCensus:
             n = rng.randint(2, 10)
             d = rng.randint(1, min(n - 1, 5))
             g = gen_random_regular_digraph(n, d, rng.randrange(10**6), allow_loops=loops)
-            assert factor_census(g) == enumerated_census(g), (n, d)
+            census, law = listed_census(g)
+            assert factor_census(g) == census, (n, d)
+            assert exact.cycle_law(g) == law, (n, d)
 
     @pytest.mark.parametrize("family, n, d", [
         ("cycle", 10, 2), ("cycle", 9, 2), ("clique_union", 8, 3), ("clique_union", 10, 4),
     ])
     def test_agrees_with_enumeration_on_doubled_families(self, family, n, d):
         g = double_undirected(gen_family(family, n, d))
-        assert factor_census(g) == enumerated_census(g)
+        census, law = listed_census(g)
+        assert factor_census(g) == census
+        assert exact.cycle_law(g) == law
+
+    @pytest.mark.parametrize("n, d", [(20, 5), (16, 4)])
+    def test_complete_loops_law_in_closed_form(self, n, d):
+        # n/d disjoint K_d with loops: the law is (x (x+1) ... (x+d-1))^(n/d).
+        law = exact.cycle_law(gen_family("complete_loops", n, d))
+        assert law == stirling_law(d, n // d)
+        assert list(law) == sorted(law)
+
+    @pytest.mark.parametrize("n", [5, 6, 9, 40])
+    def test_doubled_cycle_law_in_closed_form(self, n):
+        # Both orientations of the Hamilton cycle, and for even n the two
+        # digon factors from the two perfect matchings of C_n.
+        law = exact.cycle_law(double_undirected(gen_family("cycle", n, 2)))
+        assert law == ({1: 2, n // 2: 2} if n % 2 == 0 else {1: 2})
 
     def test_complete_loops_past_enumeration_cap(self):
         # Four disjoint K5 with loops: (5!)^4 factors, E = 4 H_5; past the
@@ -216,19 +249,19 @@ class TestCycleCensus:
         assert Fraction(cycle_sum, count) == 4 * harmonic(5)
 
     def test_k12_past_enumeration_cap(self):
-        count, cycle_sum = exact.cycle_census(complete_loops(12))
-        assert count == math.factorial(12)
-        assert Fraction(cycle_sum, count) == harmonic(12)
+        # 12! factors, c(12, k) of them with k cycles.
+        law = exact.cycle_law(complete_loops(12))
+        assert law == stirling_law(12)
+        assert sum(law.values()) == math.factorial(12)
 
     def test_state_budget(self, monkeypatch):
         # K8 with loops: the levels |S| = 5 and 6 hold 259 + 245 = 504
         # states, more than any other adjacent pair.
         monkeypatch.setattr(exact, "CENSUS_MAX_STATES", 503)
         with pytest.raises(SizeLimitExceeded, match="over 503 states at level 5"):
-            exact.cycle_census(complete_loops(8))
+            exact.cycle_law(complete_loops(8))
         monkeypatch.setattr(exact, "CENSUS_MAX_STATES", 504)
-        count, cycle_sum = exact.cycle_census(complete_loops(8))
-        assert (count, Fraction(cycle_sum, count)) == (math.factorial(8), harmonic(8))
+        assert exact.cycle_law(complete_loops(8)) == stirling_law(8)
 
     def test_budget_refusal_in_census(self, monkeypatch):
         # The counting pass fits (36 factors); the census itself is refused.

@@ -1,14 +1,14 @@
 """Calibrate the MCMC step budget against the exact law of the cycle count.
 
-For each instance every cycle-factor is enumerated, which gives the exact
-law of the cycle count and its mean E. Then, at each budget multiple m
-(m * n^2 * d steps per draw), ``--draws`` MCMC draws are taken and the row
-reports their mean cycle count, its distance from E in standard errors
-(SE = exact sd / sqrt(draws)) and the total-variation (TV) distance between
-their cycle-count law and the exact one. The TV noise floor is the mean TV
-of five sets of as many exactly uniform draws. Prints the markdown table
-kept in README.md; the default run takes several minutes, most of it the
-50 n^2 d rows and the enumeration of the n = 32 instance.
+For each instance the census ``cycle_law`` gives the exact law of the
+cycle count, without listing the factors, and its mean E. Then, at each
+budget multiple m (m * n^2 * d steps per draw), ``--draws`` MCMC draws are
+taken and the row reports their mean cycle count, its distance from E in
+standard errors (SE = exact sd / sqrt(draws)) and the total-variation (TV)
+distance between their cycle-count law and the exact one. The TV noise
+floor is the mean TV of five sets of as many draws from the exact law.
+Prints the markdown table kept in README.md; the default run takes several
+minutes, nearly all of it the MCMC draws at 50 n^2 d.
 
     PYTHONPATH=src python tools/mcmc_calibration.py [--draws 2000] [--seed 1]
 """
@@ -18,8 +18,8 @@ import math
 import random
 from collections import Counter
 
-from cyclefactor.exact import iter_factor_sigmas
-from cyclefactor.graphs import CycleFactor, double_undirected, gen_family, gen_random_regular_digraph
+from cyclefactor.exact import cycle_law
+from cyclefactor.graphs import double_undirected, gen_family, gen_random_regular_digraph
 from cyclefactor.sampling import MCMCFactorSampler, derive_seed
 
 INSTANCES = [
@@ -45,17 +45,20 @@ def main() -> None:
     ap.add_argument("--draws", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
+    if args.draws < 1:
+        ap.error("--draws must be at least 1")
     print("| family | n | d | factors | budget (n²d) | mean | exact E | (mean − E)/SE | TV | TV floor |")
     print("|---|---|---|---|---|---|---|---|---|---|")
     for idx, (family, build) in enumerate(INSTANCES):
         g = build()
-        counts = [CycleFactor.from_sigma(s).num_cycles for s in iter_factor_sigmas(g)]
-        law = {c: k / len(counts) for c, k in Counter(counts).items()}
+        ways = cycle_law(g)
+        factors = sum(ways.values())
+        law = {c: k / factors for c, k in ways.items()}
         mean = sum(c * p for c, p in law.items())
         se = math.sqrt(sum((c - mean) ** 2 * p for c, p in law.items()) / args.draws)
         rng = random.Random(derive_seed(args.seed, 1000 + idx))
         floor = sum(
-            tv(Counter(rng.choice(counts) for _ in range(args.draws)), law, args.draws)
+            tv(Counter(rng.choices(list(ways), list(ways.values()), k=args.draws)), law, args.draws)
             for _ in range(5)
         ) / 5
         for j, m in enumerate(MULTIPLES):
@@ -65,7 +68,7 @@ def main() -> None:
             drawn = [sampler.sample(rng).num_cycles for _ in range(args.draws)]
             z = (sum(drawn) / args.draws - mean) / se if se else 0.0
             print(
-                f"| {family} | {g.n} | {g.d} | {len(counts):,} | {m:g} | {sum(drawn) / args.draws:.3f} "
+                f"| {family} | {g.n} | {g.d} | {factors:,} | {m:g} | {sum(drawn) / args.draws:.3f} "
                 f"| {mean:.3f} | {z:+.1f} | {tv(Counter(drawn), law, args.draws):.3f} | {floor:.3f} |",
                 flush=True,
             )
