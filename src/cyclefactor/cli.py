@@ -33,7 +33,6 @@ from .graphs import (
     gen_random_regular_digraph,
     graph_to_text,
     read_graph,
-    write_graph,
 )
 from .sampling import MinFactorResult, SamplerConfig, min_cycle_factor
 from .transforms import (
@@ -58,12 +57,19 @@ def instance_hash(g) -> str:
     return hashlib.sha256(graph_to_text(g).encode()).hexdigest()[:16]
 
 
+def _write(text: str, out: str | None) -> None:
+    """The one writer of a subcommand's result: to out, else to stdout."""
+    if out is None:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise OSError(f"cannot write {out}: {e}") from None
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True)
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _write(json.dumps(payload, sort_keys=True) + "\n", out)
 
 
 def _load_graph(path: str):
@@ -111,10 +117,7 @@ def cmd_gen(args) -> int:
         )
     else:
         g = gen_family(args.family, args.n, args.d)
-    try:
-        write_graph(g, args.out)
-    except OSError as e:
-        raise OSError(f"cannot write {args.out}: {e}") from None
+    _write(graph_to_text(g), args.out)
     return EXIT_OK
 
 
@@ -143,10 +146,11 @@ def cmd_verify(args) -> int:
             args.out,
         )
     else:
-        print(f"n={report.n} d={report.d} factors={report.matching_count} "
-              f"E[cycles]={report.expected_cycles} loss={report.entropy_loss:.6f}")
-        for name, lhs, rhs, holds in rows:
-            print(f"{'PASS' if holds else 'FAIL'}  {name:28s} lhs={lhs:.6g} rhs={rhs:.6g}")
+        lines = [f"n={report.n} d={report.d} factors={report.matching_count} "
+                 f"E[cycles]={report.expected_cycles} loss={report.entropy_loss:.6f}"]
+        lines += [f"{'PASS' if holds else 'FAIL'}  {name:28s} lhs={lhs:.6g} rhs={rhs:.6g}"
+                  for name, lhs, rhs, holds in rows]
+        _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK if all(r[3] for r in rows) else EXIT_INVALID
 
 
@@ -272,7 +276,7 @@ def _bench_instance(desc) -> tuple[str, object]:
     if "path" in desc:
         if not isinstance(desc["path"], str):
             raise BadParameters("manifest instance path is not a string")
-        g = read_graph(desc["path"])
+        g = _load_graph(desc["path"])
     else:
         need = ("family", "n", "d") + (("seed",) if desc.get("family") == "random" else ())
         missing = [k for k in need if k not in desc]
@@ -372,7 +376,6 @@ def cmd_bench(args) -> int:
     existing = _existing_keys(out_path)
     seed = cfg.seed
     errors = []
-    records = []
     try:
         fh = out_path.open("a", encoding="utf-8")
     except OSError as e:
@@ -401,23 +404,7 @@ def cmd_bench(args) -> int:
             # Flushed per record, so an interrupted run keeps what it finished.
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
             fh.flush()
-            records.append(rec)
-
-    if args.format == "csv" and records:
-        csv_path = out_path.with_suffix(".csv")
-        fields = ["instance_hash", "config_hash", "seed", "min_cycles", "path_count", "tour_length"]
-        with csv_path.open("w", encoding="utf-8") as fh:
-            fh.write(",".join(fields) + "\n")
-            for rec in records:
-                row = [
-                    rec["instance_hash"],
-                    rec["config_hash"],
-                    str(rec["seed"]),
-                    str(rec["outputs"].get("min_cycles", "")),
-                    str(rec["outputs"].get("path_count", "")),
-                    str(rec["outputs"].get("tour_length", "")),
-                ]
-                fh.write(",".join(row) + "\n")
+            existing.add((ih, config_hash, seed))
 
     if errors:
         print(json.dumps({"partial_failures": errors}, sort_keys=True), file=sys.stderr)
@@ -432,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_sampler_flags(p, need_seed=True):
-        p.add_argument("--seed", type=int, required=need_seed, help="64-bit RNG seed")
+    def add_sampler_flags(p):
+        p.add_argument("--seed", type=int, required=True, help="64-bit RNG seed")
         p.add_argument("--backend", choices=("exact", "mcmc", "auto"), default="auto")
         p.add_argument("--samples", type=int, default=None, help="number of independent draws")
         p.add_argument("--mcmc-steps", type=int, default=None, help="chain burn-in budget (default 5 n^2 d)")
@@ -485,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a benchmark manifest")
     p.add_argument("manifest")
     p.add_argument("--out", default=None, help="NDJSON results path")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_bench)
 
     return parser

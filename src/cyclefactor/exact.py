@@ -263,7 +263,8 @@ def factor_census(g: RegularDigraph) -> tuple[int, int]:
     expected = permanent(g.out_adj)
     law = cycle_law(g)
     count = sum(law.values())
-    assert count == expected
+    if count != expected:
+        raise AssertionError(f"cycle census counts {count} factors, the permanent {expected}")
     return count, sum(c * ways for c, ways in law.items())
 
 

@@ -127,6 +127,15 @@ class TestVerify:
         assert code == 0
         assert "factors=1 " in out
 
+    def test_text_report_to_out(self, tmp_path, capsys):
+        path = tmp_path / "g.digraph"
+        write_graph(gen_family("complete_loops", 4, 4), path)
+        code, out, _ = run(capsys, "verify", path)
+        assert code == 0
+        report = tmp_path / "v.txt"
+        assert run(capsys, "verify", path, "--out", report) == (0, "", "")
+        assert report.read_text() == out
+
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "verify", "/nonexistent/g.digraph")
         assert code == 4
@@ -275,6 +284,10 @@ ERROR_CASES = [
         ["gen", "cycle", "--n", 6, "--d", 2, "--out", "{tmp}/nodir/g.graph"],
         4, "cannot write {tmp}/nodir/g.graph: " + _NO_FILE + "nodir/g.graph'",
         id="gen-unwritable-out"),
+    pytest.param(
+        ["cyclefactor", "{tmp}/k4.digraph", "--seed", 1, "--out", "{tmp}/nodir/x.json"],
+        4, "cannot write {tmp}/nodir/x.json: " + _NO_FILE + "nodir/x.json'",
+        id="cyclefactor-unwritable-out"),
     pytest.param(
         ["verify", "{tmp}/none.digraph"],
         4, "cannot read {tmp}/none.digraph: " + _NO_FILE + "none.digraph'",
@@ -474,7 +487,8 @@ class TestBench:
         manifest.write_text(json.dumps({"config": {}, "instances": [{"path": str(graph)}]}))
         code, _, err = run(capsys, "bench", manifest, "--out", tmp_path / "r.ndjson")
         assert code == 2
-        assert "partial_failures" in err
+        assert json.loads(err)["partial_failures"][0]["error"] == (
+            f"bad graph file {graph}: line 1: not UTF-8 text: invalid start byte")
 
     def test_missing_graph_file_is_partial_failure(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
@@ -485,7 +499,19 @@ class TestBench:
         out = tmp_path / "r.ndjson"
         code, _, err = run(capsys, "bench", manifest, "--out", out)
         assert code == 2
-        assert "No such file" in json.loads(err)["partial_failures"][0]["error"]
+        assert json.loads(err)["partial_failures"][0]["error"] == (
+            "cannot read /nonexistent/g.digraph: [Errno 2] No such file or directory:"
+            " '/nonexistent/g.digraph'")
+        assert len(out.read_text().splitlines()) == 1
+
+    def test_repeated_instance_written_once(self, tmp_path, capsys):
+        # Whether or not a run is interrupted between the two entries, the
+        # results file holds one record for their one key.
+        code, _, out = self.bench_raw(tmp_path, capsys, {
+            "config": {"samples": 2},
+            "instances": [{"family": "cycle", "n": 6, "d": 2}] * 2,
+        })
+        assert code == 0
         assert len(out.read_text().splitlines()) == 1
 
     def test_manifest_not_utf8(self, tmp_path, capsys):
@@ -555,12 +581,3 @@ class TestBench:
         assert json.loads(err)["partial_failures"][0] == {
             "instance": 5, "error": "manifest instance is not an object"}
         assert len(out.read_text().splitlines()) == 1
-
-    def test_csv_export(self, tmp_path, capsys):
-        manifest = self.manifest(tmp_path)
-        out = tmp_path / "results.ndjson"
-        code, _, _ = run(capsys, "bench", manifest, "--out", out, "--format", "csv")
-        assert code == 0
-        csv_text = (tmp_path / "results.csv").read_text()
-        assert csv_text.startswith("instance_hash,")
-        assert len(csv_text.splitlines()) == 12

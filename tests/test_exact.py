@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -262,6 +266,23 @@ class TestCycleCensus:
             exact.cycle_law(complete_loops(8))
         monkeypatch.setattr(exact, "CENSUS_MAX_STATES", 504)
         assert exact.cycle_law(complete_loops(8)) == stirling_law(8)
+
+    def test_double_count_checked_under_optimize(self):
+        # The census count is checked against the permanent even under
+        # python -O, which strips assert statements.
+        child = (
+            "from cyclefactor import exact\n"
+            "from cyclefactor.graphs import gen_family\n"
+            "exact.cycle_law = lambda g: {1: 1}\n"
+            "try:\n"
+            "    exact.factor_census(gen_family('complete_loops', 4, 4))\n"
+            "except AssertionError as e:\n"
+            "    print(e)\n"
+        )
+        src = str(Path(exact.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-O", "-c", child], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "cycle census counts 1 factors, the permanent 24\n"
 
     def test_budget_refusal_in_census(self, monkeypatch):
         # The counting pass fits (36 factors); the census itself is refused.
