@@ -115,6 +115,8 @@ def cmd_gen(args) -> int:
             allow_loops=not args.no_loops,
             allow_digons=not args.no_digons,
         )
+    elif args.no_loops or args.no_digons:
+        raise BadParameters("--no-loops and --no-digons apply only to gen random")
     else:
         g = gen_family(args.family, args.n, args.d)
     _write(graph_to_text(g), args.out)

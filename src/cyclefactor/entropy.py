@@ -4,12 +4,16 @@ Shannon and binary entropy (bits), the two-variable chain rule, the
 skew bound relating entropy loss to the largest point probability, and
 the exhaustive reveal audit: going through the vertices in every possible
 order, the number of still-available out-neighbours of a vertex is
-distributed exactly uniformly on {1, ..., d}.
+distributed exactly uniformly on {1, ..., d}. The audit counts the orders
+rather than listing them: vertex i comes up right after the vertex set P
+in |P|! (n - 1 - |P|)! of the n! orders, so it visits each of the 2^n - 1
+proper prefixes once, with that weight.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -84,7 +88,7 @@ def check_skew_lemma(probs) -> SkewCheck:
     """
     probs = _validate(probs)
     s = len(probs)
-    ell = math.log2(s) - shannon_entropy(probs)
+    ell = math.log2(s) - _entropy(probs)
     max_p = max(probs)
     bound = 2.0 / s + ell
     return SkewCheck(max_p, ell, bound, max_p <= bound + _SLACK)
@@ -132,7 +136,10 @@ class RevealAuditReport:
     still unused when i comes up is tallied over all n! reveal orders; the
     tally must be exactly n!/d for every value in {1, ..., d}. The
     order-averaged entropy deficit aggregates to the instance's total
-    entropy loss.
+    entropy loss. The orders are counted, not listed: each proper prefix
+    set P, with i the next vertex, stands for the |P|! (n - 1 - |P|)!
+    orders that share it, and the loss terms are summed with math.fsum,
+    so aggregated_loss does not depend on the order of the terms.
     """
 
     n: int
@@ -161,50 +168,29 @@ def reveal_audit(g: RegularDigraph) -> RevealAuditReport:
     ]
     n_fact = math.factorial(n)
 
-    # table[prefix][i][fi] = (s - 1, log2(s) - h) for vertex i revealed
-    # after the vertex set `prefix` under factor fi: s counts the
-    # out-neighbours of i not yet taken by the prefix, and h is the entropy
-    # of sigma(i) over the factors that agree with factor fi on the prefix.
-    table: list[dict[int, list[tuple[int, float]]]] = []
-    for prefix in range(1 << n):
-        members = [v for v in range(n) if prefix >> v & 1]
-        pinned = [tuple(sig[v] for v in members) for sig in factors]
-        taken = [sum(1 << w for w in p) for p in pinned]
-        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for p, sig in zip(pinned, factors):
-            groups.setdefault(p, []).append(sig)
-        row = {}
-        for i in range(n):
-            if prefix >> i & 1:
-                continue
-            h_of = {}
-            for p, group in groups.items():
-                tally: dict[int, int] = {}
-                for sig in group:
-                    tally[sig[i]] = tally.get(sig[i], 0) + 1
-                h_of[p] = _entropy(c / len(group) for c in tally.values())
-            terms = []
-            for p, img in zip(pinned, taken):
-                s = (out_masks[i] & ~img).bit_count()
-                terms.append((s - 1, math.log2(s) - h_of[p]))
-            row[i] = terms
-        table.append(row)
-
-    # tallies[fi][i][s - 1] over all reveal orders; ell_total adds its
-    # terms order by order, then factor by factor, then position by position.
+    # Vertex i comes up right after the set `prefix` in `weight` of the n!
+    # orders. Factors that agree on the prefix share s, the out-neighbours
+    # of i not yet taken, and h, the entropy of sigma(i) among them; each
+    # such group adds `weight` to tallies[fi][i][s - 1] of its factors.
     tallies = [[[0] * d for _ in range(n)] for _ in factors]
-    ell_total = 0.0
-    for tau in permutations(range(n)):
-        columns = []
-        prefix = 0
-        for i in tau:
-            columns.append((i, table[prefix][i]))
-            prefix |= 1 << i
-        for fi, tally_f in enumerate(tallies):
-            for i, terms in columns:
-                bucket, term = terms[fi]
-                tally_f[i][bucket] += 1
-                ell_total += term
+    terms = []
+    for prefix in range((1 << n) - 1):
+        members = [v for v in range(n) if prefix >> v & 1]
+        weight = math.factorial(len(members)) * math.factorial(n - 1 - len(members))
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for fi, sig in enumerate(factors):
+            groups.setdefault(tuple(sig[v] for v in members), []).append(fi)
+        for pinned, group in groups.items():
+            free = ~sum(1 << w for w in pinned)
+            for i in range(n):
+                if prefix >> i & 1:
+                    continue
+                s = (out_masks[i] & free).bit_count()
+                images = Counter(factors[fi][i] for fi in group)
+                h = _entropy(c / len(group) for c in images.values())
+                terms.append(weight * len(group) * (math.log2(s) - h))
+                for fi in group:
+                    tallies[fi][i][s - 1] += weight
 
     expected = n_fact // d
     failures = []
@@ -214,7 +200,7 @@ def reveal_audit(g: RegularDigraph) -> RevealAuditReport:
                 failures.append(
                     f"vertex {i}, factor {fi}: tally {tallies[fi][i]} != {expected} each"
                 )
-    aggregated = ell_total / (n_fact * len(factors))
+    aggregated = math.fsum(terms) / (n_fact * len(factors))
     return RevealAuditReport(
         n=n,
         d=d,

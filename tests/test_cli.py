@@ -281,6 +281,9 @@ ERROR_CASES = [
         ["gen", "random", "--n", 6, "--d", 2, "--out", "{tmp}/x"],
         2, "gen random requires --seed", id="gen-random-without-seed"),
     pytest.param(
+        ["gen", "complete_loops", "--n", 4, "--d", 4, "--no-loops", "--out", "{tmp}/x"],
+        2, "--no-loops and --no-digons apply only to gen random", id="gen-family-with-no-loops"),
+    pytest.param(
         ["gen", "cycle", "--n", 6, "--d", 2, "--out", "{tmp}/nodir/g.graph"],
         4, "cannot write {tmp}/nodir/g.graph: " + _NO_FILE + "nodir/g.graph'",
         id="gen-unwritable-out"),
@@ -350,6 +353,7 @@ def test_failure_exit_code_and_stderr(tmp_path, capsys, argv, code, message):
     tmp = str(tmp_path)
     got = run(capsys, *(str(a).replace("{tmp}", tmp) for a in argv))
     assert got == (code, "", message.replace("{tmp}", tmp) + "\n")
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("cmd, path, message", [
