@@ -1,5 +1,5 @@
 """Command-line front end: generation, verification, factor/tour
-construction, sampling statistics, entropy checks, and benchmark runs.
+construction, and benchmark runs.
 
 Exit codes: 0 success, 2 validation failure, 3 infeasible size, 4 I/O.
 A subcommand fails by raising; ``main`` is the one place that maps the
@@ -16,13 +16,12 @@ import argparse
 import hashlib
 import json
 import math
-import random
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
-from .entropy import REVEAL_MAX_N, chain_rule_check, check_skew_lemma, reveal_audit
+from .entropy import REVEAL_MAX_N, reveal_audit
 from .errors import BadParameters, CycleFactorError, FormatMismatch, ParseError, SizeLimitExceeded
 from .exact import build_report, cycle_bound
 from .graphs import (
@@ -34,7 +33,7 @@ from .graphs import (
     graph_to_text,
     read_graph,
 )
-from .sampling import MinFactorResult, SamplerConfig, min_cycle_factor
+from .sampling import SamplerConfig, min_cycle_factor
 from .transforms import (
     PathFactor,
     Tour,
@@ -156,8 +155,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r[3] for r in rows) else EXIT_INVALID
 
 
-def _sample_payload(g: RegularDigraph, args) -> tuple[dict, MinFactorResult]:
-    """Run min-of-k and return the fields every sampling command reports."""
+def _factor_payload(g: RegularDigraph, args) -> tuple[dict, object]:
+    """Run min-of-k and return the fields every sampling command reports,
+    with its best factor."""
     cfg = SamplerConfig(
         backend=args.backend,
         mcmc_steps=args.mcmc_steps,
@@ -172,17 +172,10 @@ def _sample_payload(g: RegularDigraph, args) -> tuple[dict, MinFactorResult]:
         "steps": cfg.resolve_steps(g) if result.backend == "mcmc" else 0,
         "cycle_counts": list(result.cycle_counts),
         "cycle_bound": cycle_bound(g.n, g.d),
+        "cycle_count": result.best_count,
+        "sigma": list(result.factor.sigma),
+        "cycles": [list(c) for c in result.factor.cycles],
     }
-    return payload, result
-
-
-def _factor_payload(g: RegularDigraph, args) -> tuple[dict, object]:
-    payload, result = _sample_payload(g, args)
-    payload.update(
-        cycle_count=result.best_count,
-        sigma=list(result.factor.sigma),
-        cycles=[list(c) for c in result.factor.cycles],
-    )
     return payload, result.factor
 
 
@@ -225,51 +218,6 @@ def cmd_tour(args) -> int:
     )
     _emit(payload, args.out)
     return EXIT_OK
-
-
-def cmd_sample_stats(args) -> int:
-    payload, result = _sample_payload(_as_digraph(_load_graph(args.path)), args)
-    counts = result.cycle_counts
-    payload.update(mean=sum(counts) / len(counts), min=min(counts), max=max(counts))
-    _emit(payload, args.out)
-    return EXIT_OK
-
-
-def cmd_entropy_check(args) -> int:
-    # Either would skip a sweep and still report no failures.
-    if args.trials < 1:
-        raise BadParameters(f"--trials must be at least 1, got {args.trials}")
-    if args.max_support < 2:
-        raise BadParameters(f"--max-support must be at least 2, got {args.max_support}")
-    rng = random.Random(args.seed)
-    failures = 0
-    for s in range(2, args.max_support + 1):
-        for _ in range(args.trials):
-            weights = [-math.log(1.0 - rng.random()) for _ in range(s)]
-            total = sum(weights)
-            probs = [w / total for w in weights]
-            if not check_skew_lemma(probs).holds:
-                failures += 1
-    for _ in range(args.trials):
-        rows = rng.randrange(2, 6)
-        cols = rng.randrange(2, 6)
-        weights = [-math.log(1.0 - rng.random()) for _ in range(rows * cols)]
-        total = sum(weights)
-        joint = [
-            [weights[r * cols + c] / total for c in range(cols)] for r in range(rows)
-        ]
-        if not chain_rule_check(joint).holds:
-            failures += 1
-    _emit(
-        {
-            "seed": args.seed,
-            "trials_per_support": args.trials,
-            "max_support": args.max_support,
-            "failures": failures,
-        },
-        args.out,
-    )
-    return EXIT_OK if failures == 0 else EXIT_INVALID
 
 
 def _bench_instance(desc) -> tuple[str, object]:
@@ -458,18 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     add_sampler_flags(p)
     p.set_defaults(func=cmd_tour)
-
-    p = sub.add_parser("sample-stats", help="cycle-count statistics over k draws")
-    p.add_argument("path")
-    add_sampler_flags(p)
-    p.set_defaults(func=cmd_sample_stats)
-
-    p = sub.add_parser("entropy-check", help="random checks of the entropy lemmas")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--max-support", type=int, default=16)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_entropy_check)
 
     p = sub.add_parser("bench", help="run a benchmark manifest")
     p.add_argument("manifest")

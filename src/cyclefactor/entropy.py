@@ -1,12 +1,12 @@
 """Entropy primitives and the checkable entropy lemmas.
 
-Shannon and binary entropy (bits), the two-variable chain rule, the
-skew bound relating entropy loss to the largest point probability, and
-the exhaustive reveal audit: going through the vertices in every possible
-order, the number of still-available out-neighbours of a vertex is
-distributed exactly uniformly on {1, ..., d}. The audit counts the orders
-rather than listing them: vertex i comes up right after the vertex set P
-in |P|! (n - 1 - |P|)! of the n! orders, so it visits each of the 2^n - 1
+Shannon entropy (bits), the skew bound relating entropy loss to the
+largest point probability, and the exhaustive reveal audit: going
+through the vertices in every possible order, the number of
+still-available out-neighbours of a vertex is distributed exactly
+uniformly on {1, ..., d}. The audit counts the orders rather than
+listing them: vertex i comes up right after the vertex set P in
+|P|! (n - 1 - |P|)! of the n! orders, so it visits each of the 2^n - 1
 proper prefixes once, with that weight.
 """
 
@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 
-from .errors import InvalidDistribution, OutOfRange, SizeLimitExceeded
+from .errors import InvalidDistribution, SizeLimitExceeded
 from .exact import entropy_loss
 from .graphs import RegularDigraph
 
@@ -25,12 +25,9 @@ __all__ = [
     "REVEAL_MAX_N",
     "SUM_TOLERANCE",
     "SkewCheck",
-    "ChainRuleCheck",
     "RevealAuditReport",
     "shannon_entropy",
-    "binary_entropy",
     "check_skew_lemma",
-    "chain_rule_check",
     "reveal_audit",
 ]
 
@@ -63,13 +60,6 @@ def shannon_entropy(probs) -> float:
     return _entropy(_validate(probs))
 
 
-def binary_entropy(p: float) -> float:
-    """Entropy of a Bernoulli(p) variable, in bits."""
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRange(f"p must lie in [0, 1], got {p}")
-    return shannon_entropy((p, 1.0 - p))
-
-
 @dataclass(frozen=True)
 class SkewCheck:
     """max_p <= 2/s + ell, where ell = log2(s) - H(X)."""
@@ -92,40 +82,6 @@ def check_skew_lemma(probs) -> SkewCheck:
     max_p = max(probs)
     bound = 2.0 / s + ell
     return SkewCheck(max_p, ell, bound, max_p <= bound + _SLACK)
-
-
-@dataclass(frozen=True)
-class ChainRuleCheck:
-    """H(X, Y) against H(X) + H(Y | X) for a two-variable joint law."""
-
-    joint_entropy: float
-    marginal_entropy: float
-    conditional_entropy: float
-    gap: float
-    holds: bool
-
-
-def chain_rule_check(joint) -> ChainRuleCheck:
-    """Verify the chain rule on a joint probability matrix.
-
-    ``joint[x][y]`` is P(X=x, Y=y); both decompositions must agree to
-    within 1e-9.
-    """
-    rows = [tuple(float(p) for p in row) for row in joint]
-    if not rows or any(len(row) != len(rows[0]) for row in rows):
-        raise InvalidDistribution("joint matrix must be rectangular and non-empty")
-    flat = [p for row in rows for p in row]
-    _validate(flat)
-    h_joint = _entropy(flat)
-    row_sums = [sum(row) for row in rows]
-    h_x = _entropy(row_sums)
-    h_y_given_x = 0.0
-    for px, row in zip(row_sums, rows):
-        if px <= 0.0:
-            continue
-        h_y_given_x += px * _entropy(p / px for p in row)
-    gap = abs(h_joint - h_x - h_y_given_x)
-    return ChainRuleCheck(h_joint, h_x, h_y_given_x, gap, gap <= _SLACK)
 
 
 @dataclass(frozen=True)

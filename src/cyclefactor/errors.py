@@ -76,7 +76,3 @@ class GraphDisconnected(CycleFactorError):
 
 class InvalidDistribution(CycleFactorError):
     pass
-
-
-class OutOfRange(CycleFactorError):
-    pass

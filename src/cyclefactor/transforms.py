@@ -183,7 +183,8 @@ def verify_path_factor(pf: PathFactor, g: UndirectedRegularGraph) -> CheckReport
             else:
                 seen.add(v)
         for a, b in zip(path, path[1:]):
-            if not g.has_edge(a, b):
+            # An end outside [0, n) is reported above; has_edge would index by it.
+            if 0 <= a < g.n and 0 <= b < g.n and not g.has_edge(a, b):
                 violations.append(f"NonEdge: ({a}, {b})")
     for v in range(g.n):
         if v not in seen:
@@ -206,7 +207,7 @@ def verify_tour(t: Tour, g: UndirectedRegularGraph) -> CheckReport:
         else:
             covered.add(v)
     for a, b in zip(walk, walk[1:]):
-        if not g.has_edge(a, b):
+        if 0 <= a < g.n and 0 <= b < g.n and not g.has_edge(a, b):
             violations.append(f"NonEdge: ({a}, {b})")
     for v in range(g.n):
         if v not in covered:

@@ -1,4 +1,6 @@
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -222,16 +224,6 @@ class TestFactorCommands:
         code, _, _ = run(capsys, "tour", path, "--seed", 2)
         assert code == 2
 
-    def test_sample_stats(self, tmp_path, capsys):
-        path = tmp_path / "g.digraph"
-        write_graph(gen_family("complete_loops", 5, 5), path)
-        code, out, _ = run(capsys, "sample-stats", path, "--seed", 3, "--samples", 6)
-        assert code == 0
-        payload = json.loads(out)
-        assert len(payload["cycle_counts"]) == 6
-        assert payload["min"] <= payload["mean"] <= payload["max"]
-        assert payload["backend"] == "exact"
-
     def test_determinism(self, tmp_path, capsys):
         path = tmp_path / "g.digraph"
         write_graph(gen_family("complete_loops", 6, 6), path)
@@ -240,24 +232,32 @@ class TestFactorCommands:
         assert out1 == out2
 
 
-class TestEntropyCheck:
-    def test_passes(self, capsys):
-        code, out, _ = run(
-            capsys, "entropy-check", "--seed", 1, "--trials", 30, "--max-support", 6
-        )
-        assert code == 0
-        assert json.loads(out)["failures"] == 0
+def _subcommands() -> set:
+    (action,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return set(action.choices)
 
-    @pytest.mark.parametrize("trials", [0, -3])
-    def test_no_trials_rejected(self, capsys, trials):
-        code, out, err = run(capsys, "entropy-check", "--seed", 1, "--trials", trials)
-        assert (code, out) == (2, "")
-        assert err == f"--trials must be at least 1, got {trials}\n"
 
-    def test_support_below_two_rejected(self, capsys):
-        code, out, err = run(capsys, "entropy-check", "--seed", 1, "--max-support", 1)
-        assert (code, out) == (2, "")
-        assert err == "--max-support must be at least 2, got 1\n"
+def test_subcommands():
+    assert _subcommands() == {"gen", "verify", "cyclefactor", "pathfactor", "tour", "bench"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample-stats", "g.digraph", "--seed", "3"],
+    ["entropy-check", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_removed_subcommand_is_invalid_choice(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
+
+
+def test_readme_cli_block_names_every_subcommand():
+    # The block CI runs as written: the first sh block under "## CLI".
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    named = {line.split()[1] for line in block.splitlines() if line.startswith("cyclefactor ")}
+    assert named == _subcommands()
 
 
 def _error_inputs(tmp):

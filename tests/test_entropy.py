@@ -4,13 +4,11 @@ import random
 import pytest
 
 from cyclefactor.entropy import (
-    binary_entropy,
-    chain_rule_check,
     check_skew_lemma,
     reveal_audit,
     shannon_entropy,
 )
-from cyclefactor.errors import InvalidDistribution, OutOfRange, SizeLimitExceeded
+from cyclefactor.errors import InvalidDistribution, SizeLimitExceeded
 from cyclefactor.graphs import RegularDigraph, gen_family, gen_random_regular_digraph
 
 
@@ -46,30 +44,6 @@ class TestShannonEntropy:
             assert -1e-12 <= h <= math.log2(s) + 1e-9
 
 
-class TestBinaryEntropy:
-    def test_endpoints_and_max(self):
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
-        assert binary_entropy(0.5) == pytest.approx(1.0)
-
-    def test_quarter(self):
-        assert binary_entropy(0.25) == pytest.approx(0.8112781244591328)
-
-    def test_symmetric(self):
-        for k in range(1, 500):
-            p = k / 1000
-            assert binary_entropy(p) == pytest.approx(binary_entropy(1 - p))
-
-    def test_matches_shannon_on_grid(self):
-        for k in range(1001):
-            p = k / 1000
-            assert binary_entropy(p) == shannon_entropy((p, 1 - p))
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            binary_entropy(1.5)
-
-
 class TestSkewLemma:
     def test_uniform_has_zero_deficit(self):
         for s in (2, 5, 16):
@@ -99,38 +73,6 @@ class TestSkewLemma:
     def test_rejects_nan(self):
         with pytest.raises(InvalidDistribution):
             check_skew_lemma([math.nan, 1.0])
-
-
-class TestChainRule:
-    def test_independent_uniform(self):
-        check = chain_rule_check([[0.25, 0.25], [0.25, 0.25]])
-        assert check.joint_entropy == pytest.approx(2.0)
-        assert check.marginal_entropy == pytest.approx(1.0)
-        assert check.conditional_entropy == pytest.approx(1.0)
-        assert check.holds
-
-    def test_diagonal(self):
-        check = chain_rule_check([[0.5, 0.0], [0.0, 0.5]])
-        assert check.joint_entropy == pytest.approx(1.0)
-        assert check.conditional_entropy == pytest.approx(0.0)
-        assert check.holds
-
-    def test_worked_example(self):
-        check = chain_rule_check([[0.4, 0.1], [0.2, 0.3]])
-        assert check.gap <= 1e-9
-        assert check.joint_entropy == pytest.approx(1.84644, abs=1e-4)
-
-    def test_random_joints(self):
-        rng = random.Random(2)
-        for _ in range(200):
-            rows, cols = rng.randint(2, 6), rng.randint(2, 6)
-            flat = random_simplex_point(rng, rows * cols)
-            joint = [flat[r * cols : (r + 1) * cols] for r in range(rows)]
-            assert chain_rule_check(joint).holds
-
-    def test_invalid(self):
-        with pytest.raises(InvalidDistribution):
-            chain_rule_check([[0.5], [0.2]])
 
 
 class TestRevealAudit:

@@ -172,6 +172,20 @@ class TestVerifiers:
         report = verify_tour(Tour((0, 2, 0)), c4)
         assert any("NonEdge" in v for v in report.violations)
 
+    @pytest.mark.parametrize("v", [5, -1])
+    def test_tour_out_of_range_vertex_reported(self, v):
+        c4 = gen_family("cycle", 4, 2)
+        report = verify_tour(Tour((0, v, 0)), c4)
+        assert report.violations == (
+            f"IndexOutOfRange: {v}", "UncoveredVertex: 1", "UncoveredVertex: 2", "UncoveredVertex: 3"
+        )
+
+    @pytest.mark.parametrize("v", [7, -1])
+    def test_path_factor_out_of_range_vertex_reported(self, v):
+        c4 = gen_family("cycle", 4, 2)
+        report = verify_path_factor(PathFactor(((v, 0), (1, 2, 3))), c4)
+        assert report.violations == (f"IndexOutOfRange: {v}",)
+
     def test_vertex_reuse_rejected(self):
         c4 = gen_family("cycle", 4, 2)
         report = verify_path_factor(PathFactor(((0, 1), (1, 2), (3,))), c4)
