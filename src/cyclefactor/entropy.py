@@ -4,18 +4,17 @@ Shannon entropy (bits), the skew bound relating entropy loss to the
 largest point probability, and the exhaustive reveal audit: going
 through the vertices in every possible order, the number of
 still-available out-neighbours of a vertex is distributed exactly
-uniformly on {1, ..., d}. The audit counts the orders rather than
-listing them: vertex i comes up right after the vertex set P in
-|P|! (n - 1 - |P|)! of the n! orders, so it visits each of the 2^n - 1
-proper prefixes once, with that weight.
+uniformly on {1, ..., d}. The audit lists neither the orders nor the
+factors. Vertex i comes up right after the vertex set P in
+|P|! (n - 1 - |P|)! of the n! orders, and all the audit sums depends on
+a factor only through its image S on P, so one table of (P, S)
+matching counts gives every tally and loss term with its weight.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
 
 from .errors import InvalidDistribution, SizeLimitExceeded
 from .exact import entropy_loss
@@ -88,14 +87,17 @@ def check_skew_lemma(probs) -> SkewCheck:
 class RevealAuditReport:
     """Exhaustive audit of the reveal process over all vertex orders.
 
-    For every vertex i and factor sigma', the count of out-neighbours of i
-    still unused when i comes up is tallied over all n! reveal orders; the
-    tally must be exactly n!/d for every value in {1, ..., d}. The
-    order-averaged entropy deficit aggregates to the instance's total
-    entropy loss. The orders are counted, not listed: each proper prefix
-    set P, with i the next vertex, stands for the |P|! (n - 1 - |P|)!
-    orders that share it, and the loss terms are summed with math.fsum,
-    so aggregated_loss does not depend on the order of the terms.
+    For every arc (i, c), s, the count of out-neighbours of i still unused
+    when i comes up, is tallied over all n! reveal orders and the m factors
+    with sigma(i) = c; the tally must be exactly m n!/d for every s in
+    {1, ..., d}, as each factor sees each s in n!/d orders (of the d rows
+    it maps into N(i), i is one, and its rank among them is uniform). A
+    failure names the arc. The order-averaged entropy deficit aggregates
+    to the instance's total entropy loss. Nothing is listed: each proper
+    prefix set P with image S, and i the next vertex, stands for the
+    |P|! (n - 1 - |P|)! orders and the factors that share them, and the
+    loss terms are summed with math.fsum, so aggregated_loss does not
+    depend on the order of the terms.
     """
 
     n: int
@@ -115,53 +117,59 @@ def reveal_audit(g: RegularDigraph) -> RevealAuditReport:
     n, d = g.n, g.d
     if n > REVEAL_MAX_N:
         raise SizeLimitExceeded(f"reveal audit limited to n <= {REVEAL_MAX_N}, got {n}")
-    out_masks = [sum(1 << v for v in row) for row in g.out_adj]
-    # At most n! <= 720 permutations, in lexicographic order.
-    factors = [
-        sig
-        for sig in permutations(range(n))
-        if all(out_masks[i] >> v & 1 for i, v in enumerate(sig))
-    ]
+    # pairs[P, S]: the matchings of rows P onto columns S, nonzero only;
+    # each is built once, by adding its rows in increasing order.
+    pairs = {(0, 0): 1}
+    level = pairs
+    for _ in range(n):
+        nxt: dict[tuple[int, int], int] = {}
+        for (rows, cols), ways in level.items():
+            for i in range(rows.bit_length(), n):
+                for c in g.out_adj[i]:
+                    if not cols >> c & 1:
+                        key = (rows | 1 << i, cols | 1 << c)
+                        nxt[key] = nxt.get(key, 0) + ways
+        pairs.update(nxt)
+        level = nxt
+    full = (1 << n) - 1
+    count = pairs[full, full]
     n_fact = math.factorial(n)
 
-    # Vertex i comes up right after the set `prefix` in `weight` of the n!
-    # orders. Factors that agree on the prefix share s, the out-neighbours
-    # of i not yet taken, and h, the entropy of sigma(i) among them; each
-    # such group adds `weight` to tallies[fi][i][s - 1] of its factors.
-    tallies = [[[0] * d for _ in range(n)] for _ in factors]
+    # Vertex i comes up right after the set P in `weight` of the n! orders.
+    # The factors with image S on P form pairs[P, S] groups of
+    # pairs[P^c, S^c]; in each, sigma(i) = c in pairs[P^c - i, S^c - c] of
+    # them, and s, the out-neighbours of i not in S, is the same for all.
+    # tallies[i, c][s - 1] adds weight once per factor with sigma(i) = c.
+    tallies = {(i, c): [0] * d for i in range(n) for c in g.out_adj[i]}
     terms = []
-    for prefix in range((1 << n) - 1):
-        members = [v for v in range(n) if prefix >> v & 1]
-        weight = math.factorial(len(members)) * math.factorial(n - 1 - len(members))
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for fi, sig in enumerate(factors):
-            groups.setdefault(tuple(sig[v] for v in members), []).append(fi)
-        for pinned, group in groups.items():
-            free = ~sum(1 << w for w in pinned)
-            for i in range(n):
-                if prefix >> i & 1:
-                    continue
-                s = (out_masks[i] & free).bit_count()
-                images = Counter(factors[fi][i] for fi in group)
-                h = _entropy(c / len(group) for c in images.values())
-                terms.append(weight * len(group) * (math.log2(s) - h))
-                for fi in group:
-                    tallies[fi][i][s - 1] += weight
-
-    expected = n_fact // d
-    failures = []
-    for fi in range(len(factors)):
+    for (prefix, image), groups in pairs.items():
+        rest, free = full ^ prefix, full ^ image
+        size = pairs.get((rest, free), 0)
+        if not rest or not size:
+            continue
+        k = prefix.bit_count()
+        weight = math.factorial(k) * math.factorial(n - 1 - k)
         for i in range(n):
-            if any(t != expected for t in tallies[fi][i]):
-                failures.append(
-                    f"vertex {i}, factor {fi}: tally {tallies[fi][i]} != {expected} each"
-                )
-    aggregated = math.fsum(terms) / (n_fact * len(factors))
+            if prefix >> i & 1:
+                continue
+            open_cols = [c for c in g.out_adj[i] if free >> c & 1]
+            ways = [pairs.get((rest ^ 1 << i, free ^ 1 << c), 0) for c in open_cols]
+            s = len(open_cols)
+            h = _entropy(w / size for w in ways)
+            terms.append(weight * groups * size * (math.log2(s) - h))
+            for c, w in zip(open_cols, ways):
+                tallies[i, c][s - 1] += weight * groups * w
+
+    failures = []
+    for (i, c), tally in tallies.items():
+        expected = pairs.get((full ^ 1 << i, full ^ 1 << c), 0) * n_fact // d
+        if any(t != expected for t in tally):
+            failures.append(f"arc ({i}, {c}): tally {tally} != {expected} each")
     return RevealAuditReport(
         n=n,
         d=d,
         uniform=not failures,
         tally_failures=tuple(failures),
-        aggregated_loss=aggregated,
-        direct_loss=entropy_loss(g, len(factors)),
+        aggregated_loss=math.fsum(terms) / (n_fact * count),
+        direct_loss=entropy_loss(g, count),
     )

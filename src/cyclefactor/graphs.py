@@ -319,7 +319,7 @@ def gen_family(kind: str, n: int, d: int):
             out.append(tuple(range(base, base + d)))
         return RegularDigraph(n, d, tuple(out))
     if kind == "clique_union":
-        if n % (d + 1) != 0:
+        if d < 1 or n % (d + 1) != 0:
             raise BadParameters(f"clique_union needs (d+1) | n, got n={n}, d={d}")
         adj = []
         for i in range(n):

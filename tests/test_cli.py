@@ -90,6 +90,19 @@ class TestVerify:
         payload = json.loads(out)
         assert all(c["holds"] for c in payload["checks"])
 
+    @pytest.mark.parametrize("n, d, reveal_rows", [(6, 6, 2), (7, 7, 0)])
+    def test_reveal_rows_up_to_six_vertices(self, tmp_path, capsys, n, d, reveal_rows):
+        # complete_loops 6/6 (720 factors) is the largest instance the
+        # reveal audit admits.
+        path = tmp_path / "g.digraph"
+        write_graph(gen_family("complete_loops", n, d), path)
+        code, out, _ = run(capsys, "verify", path, "--format", "json")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        reveal = [c for c in checks if c["name"].startswith("reveal_")]
+        assert [c["name"] for c in reveal] == ["reveal_uniformity", "reveal_loss_agreement"][:reveal_rows]
+        assert all(c["holds"] for c in checks)
+
     def test_random_instance_passes(self, tmp_path, capsys):
         path = tmp_path / "g.digraph"
         code, _, _ = run(capsys, "gen", "random", "--n", 7, "--d", 3, "--seed", 3, "--out", path)
@@ -283,6 +296,9 @@ ERROR_CASES = [
     pytest.param(
         ["gen", "complete_loops", "--n", 4, "--d", 4, "--no-loops", "--out", "{tmp}/x"],
         2, "--no-loops and --no-digons apply only to gen random", id="gen-family-with-no-loops"),
+    pytest.param(
+        ["gen", "clique_union", "--n", 6, "--d", -1, "--out", "{tmp}/x"],
+        2, "clique_union needs (d+1) | n, got n=6, d=-1", id="gen-clique-union-negative-d"),
     pytest.param(
         ["gen", "cycle", "--n", 6, "--d", 2, "--out", "{tmp}/nodir/g.graph"],
         4, "cannot write {tmp}/nodir/g.graph: " + _NO_FILE + "nodir/g.graph'",
@@ -482,6 +498,20 @@ class TestBench:
         code, _, err = run(capsys, "bench", manifest, "--out", out)
         assert code == 2
         assert json.loads(err)["partial_failures"][0]["error"] == "manifest instance lacks d"
+        assert len(out.read_text().splitlines()) == 1
+
+    def test_negative_d_family_is_partial_failure(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "config": {"samples": 2},
+            "instances": [{"family": "clique_union", "n": 6, "d": -1},
+                          {"family": "cycle", "n": 6, "d": 2}],
+        }))
+        out = tmp_path / "r.ndjson"
+        code, _, err = run(capsys, "bench", manifest, "--out", out)
+        assert code == 2
+        assert json.loads(err)["partial_failures"][0]["error"] == (
+            "clique_union needs (d+1) | n, got n=6, d=-1")
         assert len(out.read_text().splitlines()) == 1
 
     def test_not_utf8_graph_is_partial_failure(self, tmp_path, capsys):

@@ -81,7 +81,8 @@ class TestRevealAudit:
         report = reveal_audit(g)
         assert report.uniform
         assert report.tally_failures == ()
-        # each of s = 1, 2, 3 hit exactly 3!/3 = 2 times per (vertex, factor)
+        # each of s = 1, 2, 3 hit exactly 2 * 3!/3 = 4 times per arc: each of
+        # the 9 arcs lies on 2 of the 6 factors
         assert report.loss_gap <= 1e-6
 
     def test_d1_trivial(self):
@@ -108,6 +109,23 @@ class TestRevealAudit:
             assert report.uniform, (n, d)
             assert report.loss_gap <= 1e-6
             assert report.loss_gap <= 1e-14, (n, d)
+
+    # The largest d the generator admits without loops (d <= n - 1), without
+    # digons (2(d - 1) <= n - 1) or without both (2d <= n - 1).
+    @pytest.mark.parametrize("loops, digons, top", [
+        pytest.param(False, True, lambda n: n - 1, id="no_loops"),
+        pytest.param(True, False, lambda n: (n - 1) // 2 + 1, id="no_digons"),
+        pytest.param(False, False, lambda n: (n - 1) // 2, id="neither"),
+    ])
+    def test_random_small_instances_without_loops_or_digons(self, loops, digons, top):
+        rng = random.Random(4)
+        for n in range(2, 7):
+            for d in range(1, top(n) + 1):
+                g = gen_random_regular_digraph(
+                    n, d, rng.randrange(10**6), allow_loops=loops, allow_digons=digons)
+                report = reveal_audit(g)
+                assert report.uniform, (n, d)
+                assert report.loss_gap <= 1e-14, (n, d)
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitExceeded):

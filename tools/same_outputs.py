@@ -4,6 +4,8 @@ Writes the four perfbench workloads' instances (20-second untimed rounds at
 ``--seed``) once to a temporary directory, runs every op through
 ``cyclefactor.cli.main`` under OLD_SRC and NEW_SRC, each in its own process,
 and prints the ops whose exit code, stdout, stderr or ``--out`` bytes differ.
+Where the ``--out`` bytes differ and both parse as JSON, it also prints each
+differing leaf as ``path: old -> new``.
 
     python tools/same_outputs.py OLD_SRC NEW_SRC [--seed 1]
 """
@@ -22,11 +24,11 @@ import workloads  # noqa: E402
 CHILD = r"""import contextlib, hashlib, io, json, os, sys
 from pathlib import Path
 import cyclefactor.cli as cli
-src, ops_file, out = sys.argv[1:]
+src, ops_file, outs = sys.argv[1:]
 if not os.path.realpath(cli.__file__).startswith(src + os.sep):
     sys.exit(f"cyclefactor imported from {cli.__file__}, not from {src}")
-for argv in json.loads(Path(ops_file).read_text()):
-    Path(out).unlink(missing_ok=True)
+for i, argv in enumerate(json.loads(Path(ops_file).read_text())):
+    out = os.path.join(outs, str(i))
     so, se = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(so), contextlib.redirect_stderr(se):
         try:
@@ -40,13 +42,36 @@ for argv in json.loads(Path(ops_file).read_text()):
     print(json.dumps([code] + [hashlib.sha256(b).hexdigest() for b in fields]))
 """
 FIELDS = ("exit code", "stdout", "stderr", "--out bytes")
+MISSING = object()
 
 
-def run_tree(src: str, work: Path) -> list:
+def run_tree(src: str, work: Path, outs: Path) -> list:
+    """Each op's [exit code, stdout, stderr, --out] hashes; op i writes outs/i."""
     src = os.path.realpath(src)
-    proc = subprocess.run([sys.executable, "-c", CHILD, src, str(work / "ops.json"), str(work / "out")],
+    outs.mkdir()
+    proc = subprocess.run([sys.executable, "-c", CHILD, src, str(work / "ops.json"), str(outs)],
                           cwd=work, env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, text=True, check=True)
     return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def leaf_diffs(a, b, path=""):
+    """'path: old -> new' for every leaf where two JSON values differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(a.keys() | b.keys()):
+            yield from leaf_diffs(a.get(k, MISSING), b.get(k, MISSING), f"{path}.{k}" if path else k)
+    elif isinstance(a, list) and isinstance(b, list):
+        for i in range(max(len(a), len(b))):
+            yield from leaf_diffs(a[i] if i < len(a) else MISSING, b[i] if i < len(b) else MISSING, f"{path}[{i}]")
+    elif a != b or type(a) is not type(b):
+        a, b = ("(none)" if x is MISSING else json.dumps(x) for x in (a, b))
+        yield f"{path or '(top)'}: {a} -> {b}"
+
+
+def out_json(path: Path):
+    try:
+        return json.loads(path.read_bytes())
+    except (OSError, ValueError):
+        return None
 
 
 def main() -> int:
@@ -68,10 +93,15 @@ def main() -> int:
                     ops.append(workloads.op_argv(spec, instances[rnd][slot], seed, "{out}"))
                     labels.append(f"{w} round {rnd} slot {slot} ({spec['cmd']})")
         (work / "ops.json").write_text(json.dumps(ops), encoding="utf-8")
-        old, new = (run_tree(src, work) for src in (args.old_src, args.new_src))
-    differ = [(label, a, b) for label, a, b in zip(labels, old, new) if a != b]
-    for label, a, b in differ:
-        print(f"{label}: {', '.join(f for f, x, y in zip(FIELDS, a, b) if x != y)} differ")
+        old, new = (run_tree(src, work, work / tag) for src, tag in ((args.old_src, "old"), (args.new_src, "new")))
+        differ = [(i, a, b) for i, (a, b) in enumerate(zip(old, new)) if a != b]
+        for i, a, b in differ:
+            print(f"{labels[i]}: {', '.join(f for f, x, y in zip(FIELDS, a, b) if x != y)} differ")
+            if a[3] != b[3]:
+                before, after = (out_json(work / tag / str(i)) for tag in ("old", "new"))
+                if before is not None and after is not None:
+                    for line in leaf_diffs(before, after):
+                        print("    " + line)
     print(f"{len(differ)} of {len(ops)} ops differ")
     return 1 if differ else 0
 
