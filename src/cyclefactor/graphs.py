@@ -310,8 +310,10 @@ def gen_family(kind: str, n: int, d: int):
     requires d=2. complete_bipartite_like (undirected): disjoint union of
     n/(2d) copies of K_{d,d}.
     """
+    if kind in ("complete_loops", "clique_union", "complete_bipartite_like") and d < 1:
+        raise BadParameters(f"{kind} needs d >= 1, got d={d}")
     if kind == "complete_loops":
-        if d < 1 or n % d != 0:
+        if n % d != 0:
             raise BadParameters(f"complete_loops needs d | n, got n={n}, d={d}")
         out = []
         for i in range(n):
@@ -319,7 +321,7 @@ def gen_family(kind: str, n: int, d: int):
             out.append(tuple(range(base, base + d)))
         return RegularDigraph(n, d, tuple(out))
     if kind == "clique_union":
-        if d < 1 or n % (d + 1) != 0:
+        if n % (d + 1) != 0:
             raise BadParameters(f"clique_union needs (d+1) | n, got n={n}, d={d}")
         adj = []
         for i in range(n):
@@ -332,7 +334,7 @@ def gen_family(kind: str, n: int, d: int):
         adj = [tuple(sorted(((i - 1) % n, (i + 1) % n))) for i in range(n)]
         return UndirectedRegularGraph(n, 2, tuple(adj))
     if kind == "complete_bipartite_like":
-        if d < 1 or n % (2 * d) != 0:
+        if n % (2 * d) != 0:
             raise BadParameters(
                 f"complete_bipartite_like needs 2d | n, got n={n}, d={d}"
             )

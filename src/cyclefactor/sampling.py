@@ -11,7 +11,9 @@ independent draws.
 from __future__ import annotations
 
 import math
+import os
 import random
+import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -21,6 +23,7 @@ from .graphs import CycleFactor, RegularDigraph
 
 __all__ = [
     "EXACT_MAX_N",
+    "SPLIT_MIN_STEPS",
     "SamplerConfig",
     "derive_seed",
     "hopcroft_karp",
@@ -36,6 +39,11 @@ __all__ = [
 # frontier order (doubled C40 needs 421 entries), not on n.
 EXACT_MAX_N = MAX_STATES.bit_length() - 1
 _MASK64 = (1 << 64) - 1
+# MCMC min-of-k runs split across processes from this many chain steps in
+# all (k times the budget). Forking, piping and reaping a child costs
+# 2.3-6.5 ms in 14-94 MB processes and 2^16 steps take 17-19 ms (2-core
+# x86-64, CPython 3.11), so a second core saves about 9 ms at the threshold.
+SPLIT_MIN_STEPS = 1 << 16
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -331,19 +339,121 @@ def min_cycle_factor(g: RegularDigraph, cfg: SamplerConfig | None = None) -> Min
     Per-draw seeds are derived from (cfg.seed, draw index), so the result
     is independent of evaluation order; ties break to the first draw that
     attains the minimum.
+
+    MCMC draws are split across processes when k times the step budget is
+    at least ``SPLIT_MIN_STEPS``: one forked child per further CPU in
+    ``os.sched_getaffinity(0)``, up to k processes in all, process w
+    drawing the indices w, w + p, w + 2p, ... of p processes. The result
+    is the same as drawing serially. Draws stay in this process below the
+    threshold, for the exact backend, where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, and while another thread is alive.
     """
     cfg = cfg or SamplerConfig()
     backend = cfg.resolve_backend(g.n)
+    k = cfg.resolve_num_samples(g.n)
+    workers = 1
     if backend == "exact":
         sampler = ExactFactorSampler(g)
     else:
         sampler = MCMCFactorSampler(g, cfg.resolve_steps(g))
-    k = cfg.resolve_num_samples(g.n)
-    best: CycleFactor | None = None
-    counts = []
-    for i in range(k):
-        cf = sampler.sample(random.Random(derive_seed(cfg.seed, i)))
-        counts.append(cf.num_cycles)
-        if best is None or cf.num_cycles < best.num_cycles:
-            best = cf
-    return MinFactorResult(best, tuple(counts), backend)
+        if k * sampler.steps >= SPLIT_MIN_STEPS:
+            workers = _split_workers(k)
+    counts: dict[int, int] = {}
+    if workers > 1:
+        _, best = _split_draws(sampler, cfg.seed, k, workers, counts)
+    else:
+        _, best = _draw_share(sampler, cfg.seed, range(k), counts)
+    return MinFactorResult(best, tuple(counts[i] for i in range(k)), backend)
+
+
+def _draw_share(sampler, seed: int, indices, counts: dict, best=None):
+    """Draw ``indices`` in order, put each cycle count in ``counts`` and
+    return the (index, factor) with fewest cycles, the first on ties;
+    ``best`` is one from earlier indices."""
+    for i in indices:
+        cf = sampler.sample(random.Random(derive_seed(seed, i)))
+        counts[i] = cf.num_cycles
+        if best is None or cf.num_cycles < best[1].num_cycles:
+            best = (i, cf)
+    return best
+
+
+def _split_workers(k: int) -> int:
+    """Processes to split k draws across: this one and a child per further
+    CPU it may run on, at most k; 1 where fork or affinity is missing, or
+    where another thread is alive (a forked child copies only the calling
+    thread, and would wait forever on a lock another one held)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return min(k, len(os.sched_getaffinity(0)))
+
+
+def _split_draws(sampler, seed: int, k: int, workers: int, counts: dict):
+    """``_draw_share`` over ``range(k)``, with the indices w, w + workers,
+    ... of each w >= 1 drawn in a forked child.
+
+    Each child pickles back the counts and best draw of its share, up to
+    its first draw that exhausts the step budget. This process draws the
+    indices a child did not, in order, so the first of them raises that
+    error here, and only once its own share has succeeded. Children are
+    killed and reaped on any exception, so none outlives the call.
+    """
+    import pickle  # here, not at the top: the serial path needs neither
+    import signal
+
+    children = []  # (pid or None if fork failed, read end, share)
+    reaped = set()
+    try:
+        for w in range(1, workers):
+            share = range(w, k, workers)
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: draw this share here
+                pid = None
+            if pid == 0:
+                _child_draws(sampler, seed, share, wr)
+            children.append((pid, r, share))
+            os.close(wr)
+        bests = [_draw_share(sampler, seed, range(0, k, workers), counts)]
+        for pid, r, share in children:
+            got, best = {}, None
+            if pid is not None:
+                with open(r, "rb", closefd=False) as f:
+                    data = f.read()
+                status = os.waitpid(pid, 0)[1]
+                reaped.add(pid)
+                if status == 0:
+                    got, best = pickle.loads(data)
+            counts.update(got)
+            bests.append(_draw_share(sampler, seed, share[len(got):], counts, best))
+    finally:
+        for pid, r, _ in children:
+            if pid is not None and pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(r)
+    return min(bests, key=lambda b: (b[1].num_cycles, b[0]))
+
+
+def _child_draws(sampler, seed: int, share, fd: int) -> None:
+    """In a forked child: draw ``share`` up to its first exhausted budget,
+    pickle (counts, best) to ``fd`` and exit. Never returns, so no
+    exception, ``KeyboardInterrupt`` included, runs the parent's code."""
+    import pickle
+
+    status = 1
+    try:
+        counts, best = {}, None
+        for i in share:
+            try:
+                best = _draw_share(sampler, seed, (i,), counts, best)
+            except StepBudgetExhausted:
+                break
+        with open(fd, "wb") as f:
+            pickle.dump((counts, best), f, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)

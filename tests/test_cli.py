@@ -298,7 +298,17 @@ ERROR_CASES = [
         2, "--no-loops and --no-digons apply only to gen random", id="gen-family-with-no-loops"),
     pytest.param(
         ["gen", "clique_union", "--n", 6, "--d", -1, "--out", "{tmp}/x"],
-        2, "clique_union needs (d+1) | n, got n=6, d=-1", id="gen-clique-union-negative-d"),
+        2, "clique_union needs d >= 1, got d=-1", id="gen-clique-union-negative-d"),
+    # d = 0 meets each family's divisibility condition, or reads as if it did.
+    pytest.param(
+        ["gen", "complete_loops", "--n", 6, "--d", 0, "--out", "{tmp}/x"],
+        2, "complete_loops needs d >= 1, got d=0", id="gen-complete-loops-d0"),
+    pytest.param(
+        ["gen", "clique_union", "--n", 6, "--d", 0, "--out", "{tmp}/x"],
+        2, "clique_union needs d >= 1, got d=0", id="gen-clique-union-d0"),
+    pytest.param(
+        ["gen", "complete_bipartite_like", "--n", 6, "--d", 0, "--out", "{tmp}/x"],
+        2, "complete_bipartite_like needs d >= 1, got d=0", id="gen-complete-bipartite-like-d0"),
     pytest.param(
         ["gen", "cycle", "--n", 6, "--d", 2, "--out", "{tmp}/nodir/g.graph"],
         4, "cannot write {tmp}/nodir/g.graph: " + _NO_FILE + "nodir/g.graph'",
@@ -511,7 +521,7 @@ class TestBench:
         code, _, err = run(capsys, "bench", manifest, "--out", out)
         assert code == 2
         assert json.loads(err)["partial_failures"][0]["error"] == (
-            "clique_union needs (d+1) | n, got n=6, d=-1")
+            "clique_union needs d >= 1, got d=-1")
         assert len(out.read_text().splitlines()) == 1
 
     def test_not_utf8_graph_is_partial_failure(self, tmp_path, capsys):

@@ -1,6 +1,9 @@
 import math
+import os
 import random
 import statistics
+import threading
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -319,3 +322,140 @@ class TestMinCycleFactor:
         )
         assert result.cycle_counts == replay
         assert result.best_count == min(replay)
+
+
+class TestSplitDraws:
+    """min_cycle_factor splits MCMC draws across forked children from
+    SPLIT_MIN_STEPS steps in all, with the same result as drawing serially."""
+
+    @staticmethod
+    def cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    @staticmethod
+    def counting_fork(monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    @staticmethod
+    def assert_no_children():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_equals_serial_replay(self, monkeypatch, cpus):
+        self.cpus(monkeypatch, cpus)
+        forks = self.counting_fork(monkeypatch)
+        g = gen_random_regular_digraph(12, 3, 1)
+        steps, k = 4500, 16  # 72,000 steps in all, over SPLIT_MIN_STEPS
+        assert k * steps >= sampling.SPLIT_MIN_STEPS
+        sampler = MCMCFactorSampler(g, steps)
+        # Seeds whose minimum is tied between draws of different processes.
+        for seed in (1, 2, 3):
+            cfg = SamplerConfig(seed=seed, backend="mcmc", mcmc_steps=steps, num_samples=k)
+            result = min_cycle_factor(g, cfg)
+            replay = [sampler.sample(random.Random(derive_seed(seed, i))) for i in range(k)]
+            counts = tuple(cf.num_cycles for cf in replay)
+            assert result.cycle_counts == counts
+            assert counts.count(min(counts)) > 1
+            assert result.factor == replay[counts.index(min(counts))]
+        assert len(forks) == 3 * (cpus - 1)
+        self.assert_no_children()
+
+    @pytest.mark.parametrize("seed,failed", [(9, 1), (28, 3), (10, 0), (4, 2)],
+                             ids=["child-first", "child-second", "parent-first", "parent-second"])
+    def test_exhausted_budget_raises_and_reaps(self, monkeypatch, seed, failed):
+        # At budget 1 on TestMCMCDrawsPinned's random graph, of the draws
+        # 0..5 of this seed only `failed` meets no perfect state. Two
+        # processes: the children draw the odd indices.
+        monkeypatch.setattr(sampling, "SPLIT_MIN_STEPS", 1)
+        self.cpus(monkeypatch, 2)
+        forks = self.counting_fork(monkeypatch)
+        g = TestMCMCDrawsPinned.GRAPHS["random"]()
+        cfg = SamplerConfig(seed=seed, backend="mcmc", mcmc_steps=1, num_samples=6)
+        with pytest.raises(StepBudgetExhausted) as info:
+            min_cycle_factor(g, cfg)
+        assert str(info.value) == "no perfect state within 101 steps (budget 1)"
+        with pytest.raises(StepBudgetExhausted):
+            MCMCFactorSampler(g, 1).sample(random.Random(derive_seed(seed, failed)))
+        assert len(forks) == 1
+        self.assert_no_children()
+
+    def test_failed_fork_draws_share_here(self, monkeypatch):
+        self.cpus(monkeypatch, 3)
+        fork = os.fork
+        forks = []
+
+        def second_fails():
+            if forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            forks.append(fork())
+            return forks[-1]
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        g = gen_random_regular_digraph(12, 3, 1)
+        cfg = SamplerConfig(seed=2, backend="mcmc", mcmc_steps=4500, num_samples=16)
+        result = min_cycle_factor(g, cfg)
+        monkeypatch.setattr(sampling, "SPLIT_MIN_STEPS", 16 * 4500 + 1)
+        assert result == min_cycle_factor(g, cfg)
+        assert len(forks) == 1
+        self.assert_no_children()
+
+    def test_interrupt_kills_children(self, monkeypatch):
+        monkeypatch.setattr(sampling, "SPLIT_MIN_STEPS", 1)
+        self.cpus(monkeypatch, 3)
+        parent = os.getpid()
+
+        def sample(self, rng):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(MCMCFactorSampler, "sample", sample)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            min_cycle_factor(complete_loops(6), SamplerConfig(seed=1, backend="mcmc"))
+        assert time.monotonic() - start < 30
+        self.assert_no_children()
+
+    def no_fork(self, monkeypatch):
+        def refuse():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        self.cpus(monkeypatch, 2)
+
+    def test_exact_backend_never_forks(self, monkeypatch):
+        self.no_fork(monkeypatch)
+        monkeypatch.setattr(sampling, "SPLIT_MIN_STEPS", 1)
+        result = min_cycle_factor(complete_loops(6), SamplerConfig(seed=1, backend="exact"))
+        assert len(result.cycle_counts) == 11
+
+    def test_below_threshold_never_forks(self, monkeypatch):
+        self.no_fork(monkeypatch)
+        g = gen_random_regular_digraph(12, 3, 1)
+        cfg = SamplerConfig(seed=1, backend="mcmc", mcmc_steps=4096, num_samples=15)
+        monkeypatch.setattr(sampling, "SPLIT_MIN_STEPS", 15 * 4096 + 1)
+        assert len(min_cycle_factor(g, cfg).cycle_counts) == 15
+
+    def test_other_thread_alive_never_forks(self, monkeypatch):
+        self.no_fork(monkeypatch)
+        monkeypatch.setattr(sampling, "SPLIT_MIN_STEPS", 1)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            result = min_cycle_factor(complete_loops(6), SamplerConfig(seed=1, backend="mcmc"))
+        finally:
+            stop.set()
+            thread.join()
+        assert len(result.cycle_counts) == 11
