@@ -422,6 +422,9 @@ def main(argv=None) -> int:
     except SizeLimitExceeded as e:
         print(str(e), file=sys.stderr)
         return EXIT_INFEASIBLE
+    except MemoryError:  # a backstop: no size rule admits work by memory yet
+        print("out of memory", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except CycleFactorError as e:
         print(str(e), file=sys.stderr)
         return EXIT_INVALID

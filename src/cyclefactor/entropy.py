@@ -22,7 +22,6 @@ from .graphs import RegularDigraph
 
 __all__ = [
     "REVEAL_MAX_N",
-    "SUM_TOLERANCE",
     "SkewCheck",
     "RevealAuditReport",
     "shannon_entropy",
@@ -31,7 +30,7 @@ __all__ = [
 ]
 
 REVEAL_MAX_N = 6
-SUM_TOLERANCE = 1e-12
+_SUM_TOLERANCE = 1e-12
 _SLACK = 1e-9
 
 
@@ -44,7 +43,7 @@ def _validate(probs) -> tuple[float, ...]:
     if any(p < 0 for p in probs):
         raise InvalidDistribution("negative probability")
     total = sum(probs)
-    if abs(total - 1.0) > SUM_TOLERANCE:
+    if abs(total - 1.0) > _SUM_TOLERANCE:
         raise InvalidDistribution(f"probabilities sum to {total}, not 1")
     return probs
 

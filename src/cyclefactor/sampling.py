@@ -340,42 +340,26 @@ def min_cycle_factor(g: RegularDigraph, cfg: SamplerConfig | None = None) -> Min
     is independent of evaluation order; ties break to the first draw that
     attains the minimum.
 
-    MCMC draws are split across processes when k times the step budget is
-    at least ``SPLIT_MIN_STEPS``: one forked child per further CPU in
-    ``os.sched_getaffinity(0)``, up to k processes in all, process w
-    drawing the indices w, w + p, w + 2p, ... of p processes. The result
-    is the same as drawing serially. Draws stay in this process below the
-    threshold, for the exact backend, where ``os.fork`` or
-    ``os.sched_getaffinity`` is missing, and while another thread is alive.
+    MCMC draws are split across p processes when k times the step budget
+    is at least ``SPLIT_MIN_STEPS``: this one and a forked child per
+    further CPU in ``os.sched_getaffinity(0)``, at most k in all, process w
+    drawing the indices w, w + p, w + 2p, ... The result is the same as
+    drawing serially. Any share not received intact from its child is
+    drawn again here, so a failing draw raises here, after this process's
+    own share. p is 1 below the threshold, for the exact backend, where
+    ``os.fork`` or ``os.sched_getaffinity`` is missing, and while another
+    thread is alive.
     """
     cfg = cfg or SamplerConfig()
     backend = cfg.resolve_backend(g.n)
     k = cfg.resolve_num_samples(g.n)
-    workers = 1
     if backend == "exact":
-        sampler = ExactFactorSampler(g)
+        sampler, p = ExactFactorSampler(g), 1
     else:
         sampler = MCMCFactorSampler(g, cfg.resolve_steps(g))
-        if k * sampler.steps >= SPLIT_MIN_STEPS:
-            workers = _split_workers(k)
-    counts: dict[int, int] = {}
-    if workers > 1:
-        _, best = _split_draws(sampler, cfg.seed, k, workers, counts)
-    else:
-        _, best = _draw_share(sampler, cfg.seed, range(k), counts)
-    return MinFactorResult(best, tuple(counts[i] for i in range(k)), backend)
-
-
-def _draw_share(sampler, seed: int, indices, counts: dict, best=None):
-    """Draw ``indices`` in order, put each cycle count in ``counts`` and
-    return the (index, factor) with fewest cycles, the first on ties;
-    ``best`` is one from earlier indices."""
-    for i in indices:
-        cf = sampler.sample(random.Random(derive_seed(seed, i)))
-        counts[i] = cf.num_cycles
-        if best is None or cf.num_cycles < best[1].num_cycles:
-            best = (i, cf)
-    return best
+        p = _split_workers(k) if k * sampler.steps >= SPLIT_MIN_STEPS else 1
+    counts, best = _draw(sampler, cfg.seed, k, p)
+    return MinFactorResult(best, tuple(counts), backend)
 
 
 def _split_workers(k: int) -> int:
@@ -390,70 +374,68 @@ def _split_workers(k: int) -> int:
     return min(k, len(os.sched_getaffinity(0)))
 
 
-def _split_draws(sampler, seed: int, k: int, workers: int, counts: dict):
-    """``_draw_share`` over ``range(k)``, with the indices w, w + workers,
-    ... of each w >= 1 drawn in a forked child.
+def _draw(sampler, seed: int, k: int, p: int):
+    """Draw the indices 0..k-1 over p processes; return the cycle counts in
+    index order and the factor with fewest cycles, the first on ties.
 
-    Each child pickles back the counts and best draw of its share, up to
-    its first draw that exhausts the step budget. This process draws the
-    indices a child did not, in order, so the first of them raises that
-    error here, and only once its own share has succeeded. Children are
-    killed and reaped on any exception, so none outlives the call.
+    Share w is range(w, k, p). Share 0 is drawn here; each other share in
+    a forked child, which pickles back the share's counts and first
+    minimum, or exits non-zero. Any share not received intact (a failed
+    fork, a child that raised or was killed) is drawn again here, in
+    share order, once every child is reaped. Children are killed and
+    reaped on any exception, so none outlives the call.
     """
-    import pickle  # here, not at the top: the serial path needs neither
-    import signal
 
-    children = []  # (pid or None if fork failed, read end, share)
+    def share(w):
+        counts, best = [], None
+        for i in range(w, k, p):
+            cf = sampler.sample(random.Random(derive_seed(seed, i)))
+            counts.append(cf.num_cycles)
+            if best is None or cf.num_cycles < best[1].num_cycles:
+                best = (i, cf)
+        return counts, best
+
+    if p > 1:
+        import pickle  # here, not at the top: one process needs neither
+        import signal
+    children = []  # (share, pid, read end)
+    got = {}
     reaped = set()
     try:
-        for w in range(1, workers):
-            share = range(w, k, workers)
+        for w in range(1, p):
             r, wr = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: draw this share here
+            except OSError:  # no process to spare: drawn here below
+                os.close(r)
                 pid = None
-            if pid == 0:
-                _child_draws(sampler, seed, share, wr)
-            children.append((pid, r, share))
+            if pid == 0:  # the child ends here, whatever share(w) raises
+                status = 1
+                try:
+                    with open(wr, "wb") as f:
+                        pickle.dump(share(w), f, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
             os.close(wr)
-        bests = [_draw_share(sampler, seed, range(0, k, workers), counts)]
-        for pid, r, share in children:
-            got, best = {}, None
             if pid is not None:
-                with open(r, "rb", closefd=False) as f:
-                    data = f.read()
-                status = os.waitpid(pid, 0)[1]
-                reaped.add(pid)
-                if status == 0:
-                    got, best = pickle.loads(data)
-            counts.update(got)
-            bests.append(_draw_share(sampler, seed, share[len(got):], counts, best))
+                children.append((w, pid, r))
+        got[0] = share(0)
+        for w, pid, r in children:
+            with open(r, "rb", closefd=False) as f:
+                data = f.read()
+            status = os.waitpid(pid, 0)[1]
+            reaped.add(pid)
+            if status == 0:
+                got[w] = pickle.loads(data)
     finally:
-        for pid, r, _ in children:
-            if pid is not None and pid not in reaped:
+        for _, pid, r in children:
+            if pid not in reaped:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             os.close(r)
-    return min(bests, key=lambda b: (b[1].num_cycles, b[0]))
-
-
-def _child_draws(sampler, seed: int, share, fd: int) -> None:
-    """In a forked child: draw ``share`` up to its first exhausted budget,
-    pickle (counts, best) to ``fd`` and exit. Never returns, so no
-    exception, ``KeyboardInterrupt`` included, runs the parent's code."""
-    import pickle
-
-    status = 1
-    try:
-        counts, best = {}, None
-        for i in share:
-            try:
-                best = _draw_share(sampler, seed, (i,), counts, best)
-            except StepBudgetExhausted:
-                break
-        with open(fd, "wb") as f:
-            pickle.dump((counts, best), f, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
+    counts, bests = [0] * k, []
+    for w in range(p):
+        counts[w::p], best = got.get(w) or share(w)
+        bests.append(best)
+    return counts, min(bests, key=lambda b: (b[1].num_cycles, b[0]))[1]

@@ -382,6 +382,17 @@ def test_failure_exit_code_and_stderr(tmp_path, capsys, argv, code, message):
     assert not (tmp_path / "x").exists()
 
 
+def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "gen_random_regular_digraph", no_memory)
+    out = tmp_path / "x"
+    got = run(capsys, "gen", "random", "--n", 50000000, "--d", 4, "--seed", 1, "--out", out)
+    assert got == (3, "", "out of memory\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd, path, message", [
     ("cyclefactor", "k4.digraph", "sampled object failed independent re-validation"),
     ("pathfactor", "cycle.graph", "path-factor failed re-validation: ('X',)"),

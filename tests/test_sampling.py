@@ -459,3 +459,73 @@ class TestSplitDraws:
             stop.set()
             thread.join()
         assert len(result.cycle_counts) == 11
+
+    def test_unreported_share_drawn_here(self, monkeypatch):
+        # Each child exits without writing a byte; this process draws every
+        # share itself and must return what a serial loop would.
+        self.cpus(monkeypatch, 3)
+        forks = self.counting_fork(monkeypatch)
+        parent = os.getpid()
+        sample = MCMCFactorSampler.sample
+
+        def child_exits(self, rng):
+            if os.getpid() != parent:
+                os._exit(1)
+            return sample(self, rng)
+
+        monkeypatch.setattr(MCMCFactorSampler, "sample", child_exits)
+        g = gen_random_regular_digraph(12, 3, 1)
+        steps, k, seed = 4500, 16, 2
+        cfg = SamplerConfig(seed=seed, backend="mcmc", mcmc_steps=steps, num_samples=k)
+        result = min_cycle_factor(g, cfg)
+        sampler = MCMCFactorSampler(g, steps)
+        replay = [sampler.sample(random.Random(derive_seed(seed, i))) for i in range(k)]
+        counts = tuple(cf.num_cycles for cf in replay)
+        assert result.cycle_counts == counts
+        assert result.factor == replay[counts.index(min(counts))]
+        assert len(forks) == 2
+        self.assert_no_children()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    @pytest.mark.parametrize("path", ["split", "child-budget", "failed-fork", "interrupt"])
+    def test_no_descriptor_left_open(self, monkeypatch, path):
+        g = gen_random_regular_digraph(12, 3, 1)
+        cfg = SamplerConfig(seed=2, backend="mcmc", mcmc_steps=4500, num_samples=16)
+        raised = None
+        self.cpus(monkeypatch, 3)
+        if path == "child-budget":
+            # TestSplitDraws' "child-first" case: the child's draw 1 fails.
+            monkeypatch.setattr(sampling, "SPLIT_MIN_STEPS", 1)
+            self.cpus(monkeypatch, 2)
+            g = TestMCMCDrawsPinned.GRAPHS["random"]()
+            cfg = SamplerConfig(seed=9, backend="mcmc", mcmc_steps=1, num_samples=6)
+            raised = StepBudgetExhausted
+        elif path == "failed-fork":
+            fork = os.fork
+            forks = []
+
+            def second_fails():
+                if forks:
+                    raise BlockingIOError(11, "Resource temporarily unavailable")
+                forks.append(fork())
+                return forks[-1]
+
+            monkeypatch.setattr(os, "fork", second_fails)
+        elif path == "interrupt":
+            parent = os.getpid()
+
+            def sample(self, rng):
+                if os.getpid() == parent:
+                    raise KeyboardInterrupt
+                time.sleep(60)
+
+            monkeypatch.setattr(MCMCFactorSampler, "sample", sample)
+            raised = KeyboardInterrupt
+        before = len(os.listdir("/proc/self/fd"))
+        if raised is None:
+            min_cycle_factor(g, cfg)
+        else:
+            with pytest.raises(raised):
+                min_cycle_factor(g, cfg)
+        assert len(os.listdir("/proc/self/fd")) == before
+        self.assert_no_children()
