@@ -80,11 +80,6 @@ def _load_graph(path: str):
         raise BadParameters(f"bad graph file {path}: {e}") from None
 
 
-def _as_digraph(g) -> RegularDigraph:
-    """g itself, or the doubled digraph of an undirected g."""
-    return double_undirected(g) if isinstance(g, UndirectedRegularGraph) else g
-
-
 def _path_factor(cycles, g: UndirectedRegularGraph) -> PathFactor:
     """The path-factor of an undirected cycle decomposition, re-validated."""
     pf = to_path_factor(cycles, g)
@@ -123,7 +118,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = _as_digraph(_load_graph(args.path))
+    g = _load_graph(args.path)
     try:
         report = build_report(g)
     except SizeLimitExceeded as e:
@@ -157,7 +152,10 @@ def cmd_verify(args) -> int:
 
 def _factor_payload(g: RegularDigraph, args) -> tuple[dict, object]:
     """Run min-of-k and return the fields every sampling command reports,
-    with its best factor."""
+    with its best factor. An undirected g is reported, and its instance
+    hashed, as its doubled digraph."""
+    if isinstance(g, UndirectedRegularGraph):
+        g = double_undirected(g)
     cfg = SamplerConfig(
         backend=args.backend,
         mcmc_steps=args.mcmc_steps,
@@ -180,7 +178,7 @@ def _factor_payload(g: RegularDigraph, args) -> tuple[dict, object]:
 
 
 def cmd_cyclefactor(args) -> int:
-    g = _as_digraph(_load_graph(args.path))
+    g = _load_graph(args.path)
     payload, factor = _factor_payload(g, args)
     if not factor.is_factor_of(g):
         raise BadParameters("sampled object failed independent re-validation")
@@ -189,12 +187,12 @@ def cmd_cyclefactor(args) -> int:
 
 
 def _undirected_cycles(args, construction: str):
-    """Load an undirected graph, sample its doubled digraph and return
-    (graph, payload, undirected cycle decomposition)."""
+    """Load an undirected graph, sample it and return (graph, payload,
+    undirected cycle decomposition)."""
     g = _load_graph(args.path)
     if not isinstance(g, UndirectedRegularGraph):
         raise BadParameters(f"{construction} construction needs an undirected graph")
-    payload, factor = _factor_payload(double_undirected(g), args)
+    payload, factor = _factor_payload(g, args)
     return g, payload, to_undirected_cycle_factor(factor, g)
 
 
@@ -244,11 +242,9 @@ def _bench_instance(desc) -> tuple[str, object]:
 
 def _bench_outputs(g, cfg: SamplerConfig, oracle_max_n: int) -> dict:
     outputs: dict = {}
-    digraph = _as_digraph(g)
-    if digraph.n <= oracle_max_n:
-        report = build_report(digraph)
-        outputs["oracle"] = json.loads(report.to_json())
-    result = min_cycle_factor(digraph, cfg)
+    if g.n <= oracle_max_n:
+        outputs["oracle"] = json.loads(build_report(g).to_json())
+    result = min_cycle_factor(g, cfg)
     outputs["cycle_counts"] = list(result.cycle_counts)
     outputs["min_cycles"] = result.best_count
     outputs["backend"] = result.backend

@@ -12,9 +12,8 @@ class GraphError(CycleFactorError):
 class DegreeMismatch(GraphError):
     def __init__(self, vertex: int, found: int, expected: int, kind: str = "out"):
         self.kind = kind
-        super().__init__(
-            f"vertex {vertex} has {kind}-degree {found}, expected {expected}"
-        )
+        what = kind if kind == "degree" else f"{kind}-degree"
+        super().__init__(f"vertex {vertex} has {what} {found}, expected {expected}")
 
 
 class DuplicateEdge(GraphError):

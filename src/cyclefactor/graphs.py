@@ -3,8 +3,10 @@
 All graphs use 0-based vertex indices and store adjacency rows strictly
 increasing, so structural equality of the dataclasses is canonical graph
 equality. Directed graphs may contain loops and digons but never parallel
-edges; undirected graphs are always simple. Both graph types check these
-invariants once, when built, so a graph that exists is valid.
+edges; undirected graphs are always simple. An undirected graph is stored
+as the digraph with both directions of every edge, so it is a
+``RegularDigraph`` too. Graphs check these invariants once, when built,
+so a graph that exists is valid.
 """
 
 from __future__ import annotations
@@ -71,24 +73,15 @@ class RegularDigraph:
 
 
 @dataclass(frozen=True)
-class UndirectedRegularGraph:
-    """A simple d-regular undirected graph; ``adj[i]`` is the strictly
-    increasing tuple of neighbours of ``i``. Building one that breaks any
-    of this raises (see ``require_valid``)."""
+class UndirectedRegularGraph(RegularDigraph):
+    """A simple d-regular undirected graph, stored as its doubled digraph:
+    ``adj[i]``, which is ``out_adj[i]``, is the strictly increasing tuple
+    of neighbours of ``i``. Building one that breaks any of this raises
+    (see ``require_valid``). It never equals a ``RegularDigraph``."""
 
-    n: int
-    d: int
-    adj: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        require_valid(self)
-
-    @classmethod
-    def from_lists(cls, n: int, d: int, adj) -> "UndirectedRegularGraph":
-        return cls(n, d, tuple(tuple(sorted(row)) for row in adj))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        return self.out_adj
 
     def is_connected(self) -> bool:
         seen = [False] * self.n
@@ -141,9 +134,8 @@ class CycleFactor:
     def num_cycles(self) -> int:
         return len(self.cycles)
 
-    def is_factor_of(self, g: RegularDigraph | UndirectedRegularGraph) -> bool:
-        """Every arc (i, sigma(i)) is in g; an undirected g stands for its
-        doubled digraph."""
+    def is_factor_of(self, g: RegularDigraph) -> bool:
+        """Every arc (i, sigma(i)) is in g."""
         return len(self.sigma) == g.n and all(
             g.has_edge(i, v) for i, v in enumerate(self.sigma)
         )
@@ -152,47 +144,37 @@ class CycleFactor:
 def require_valid(g) -> None:
     """Raise the first invariant violation of g, if any.
 
-    Both graph types call this when built. Rows must be strictly
-    increasing (``has_edge`` bisects them), have exactly d entries in
-    [0, n), and give every vertex in-degree d; undirected rows must also
-    be loop-free and symmetric.
+    Graphs call this when built. Rows must be strictly increasing
+    (``has_edge`` bisects them) and have exactly d entries in [0, n).
+    A digraph must give every vertex in-degree d; undirected rows must be
+    loop-free and symmetric instead.
     """
-    if isinstance(g, RegularDigraph):
-        rows, directed = g.out_adj, True
-    elif isinstance(g, UndirectedRegularGraph):
-        rows, directed = g.adj, False
-    else:
+    if not isinstance(g, RegularDigraph):
         raise BadParameters(f"unsupported graph type {type(g).__name__}")
-    n, d = g.n, g.d
+    rows, n, d = g.out_adj, g.n, g.d
+    directed = not isinstance(g, UndirectedRegularGraph)
     if not (1 <= d <= n):
         raise BadParameters(f"need 1 <= d <= n, got d={d}, n={n}")
     if len(rows) != n:
         raise BadParameters("adjacency row count != n")
     # One chained comparison per entry checks range and order at once;
-    # _entry_fault names the fault of the entry that fails it.
+    # loop is the one entry a row may not hold (-1, none, in a digraph).
+    # _entry_fault names the fault of the entry that fails.
+    in_deg = [0] * n
+    for u, row in enumerate(rows):
+        if len(row) != d:
+            raise DegreeMismatch(u, len(row), d, kind="out" if directed else "degree")
+        prev, loop = -1, -1 if directed else u
+        for v in row:
+            if not prev < v < n or v == loop:
+                raise _entry_fault(u, v, prev, n, loops=directed)
+            in_deg[v] += 1
+            prev = v
     if directed:
-        in_deg = [0] * n
-        for u, row in enumerate(rows):
-            if len(row) != d:
-                raise DegreeMismatch(u, len(row), d, kind="out")
-            prev = -1
-            for v in row:
-                if not prev < v < n:
-                    raise _entry_fault(u, v, prev, n, loops=True)
-                in_deg[v] += 1
-                prev = v
         for v, deg in enumerate(in_deg):
             if deg != d:
                 raise DegreeMismatch(v, deg, d, kind="in")
         return
-    for u, row in enumerate(rows):
-        if len(row) != d:
-            raise DegreeMismatch(u, len(row), d, kind="degree")
-        prev = -1
-        for v in row:
-            if not prev < v < n or v == u:
-                raise _entry_fault(u, v, prev, n, loops=False)
-            prev = v
     # Symmetric rows of length d give every vertex in-degree d.
     for u, row in enumerate(rows):
         for v in row:
@@ -224,7 +206,8 @@ def to_bipartite(g: RegularDigraph) -> tuple[tuple[int, ...], ...]:
 
 def double_undirected(g: UndirectedRegularGraph) -> RegularDigraph:
     """Direct every edge of g in both directions. The result is d-regular
-    and loop-free; every arc's reverse is present."""
+    and loop-free; every arc's reverse is present. g already stores these
+    rows, so the result differs from g only in type."""
     return RegularDigraph(g.n, g.d, g.adj)
 
 
@@ -349,18 +332,11 @@ def gen_family(kind: str, n: int, d: int):
     raise BadParameters(f"unknown family kind {kind!r}")
 
 
-def graph_to_text(g) -> str:
+def graph_to_text(g: RegularDigraph) -> str:
     """Serialize a graph to the canonical text format."""
-    if isinstance(g, RegularDigraph):
-        header = f"digraph {g.n} {g.d}"
-        rows = g.out_adj
-    elif isinstance(g, UndirectedRegularGraph):
-        header = f"graph {g.n} {g.d}"
-        rows = g.adj
-    else:
-        raise BadParameters(f"unsupported graph type {type(g).__name__}")
-    lines = [header]
-    lines.extend(" ".join(str(v) for v in row) for row in rows)
+    kind = "graph" if isinstance(g, UndirectedRegularGraph) else "digraph"
+    lines = [f"{kind} {g.n} {g.d}"]
+    lines.extend(" ".join(str(v) for v in row) for row in g.out_adj)
     return "\n".join(lines) + "\n"
 
 

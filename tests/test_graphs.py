@@ -90,8 +90,23 @@ class TestValidateUndirected:
         gen_family("cycle", 6, 2)
 
     def test_asymmetric_rejected(self):
-        with pytest.raises((AsymmetricEdge, DegreeMismatch)):
+        with pytest.raises(AsymmetricEdge):
             UndirectedRegularGraph(3, 1, ((1,), (2,), (0,)))
+
+    def test_asymmetry_reported_before_in_degree(self):
+        # Vertex 0 has in-degree 2 and vertex 2 has 0, but an undirected
+        # graph is never reported by its in-degree.
+        with pytest.raises(AsymmetricEdge, match=r"^edge \(2, 0\) present but \(0, 2\) missing$"):
+            UndirectedRegularGraph(3, 1, ((1,), (0,), (0,)))
+
+    def test_degree_mismatch_messages(self):
+        with pytest.raises(DegreeMismatch, match="^vertex 2 has degree 3, expected 2$") as e:
+            UndirectedRegularGraph(4, 2, ((1, 2), (0, 2), (0, 1, 3), (2,)))
+        assert e.value.kind == "degree"
+        with pytest.raises(DegreeMismatch, match="^vertex 0 has out-degree 1, expected 2$"):
+            RegularDigraph(2, 2, ((0,), (0, 1)))
+        with pytest.raises(DegreeMismatch, match="^vertex 0 has in-degree 0, expected 1$"):
+            RegularDigraph(2, 1, ((1,), (1,)))
 
     def test_loop_rejected(self):
         with pytest.raises(LoopNotAllowed):
@@ -142,6 +157,24 @@ class TestDoubleUndirected:
             assert u not in row
             for v in row:
                 assert g.has_edge(v, u)
+
+
+class TestUndirectedIsDoubledDigraph:
+    def test_is_a_digraph_with_the_same_rows(self):
+        g = gen_family("clique_union", 8, 3)
+        assert isinstance(g, RegularDigraph)
+        assert g.adj == g.out_adj == double_undirected(g).out_adj
+
+    def test_never_equals_its_doubled_digraph(self):
+        g = gen_family("cycle", 5, 2)
+        assert g != double_undirected(g)
+        assert type(double_undirected(g)) is RegularDigraph
+
+    @pytest.mark.parametrize("kind,n,d", [("cycle", 7, 2), ("clique_union", 8, 3)])
+    def test_text_round_trip_keeps_the_type(self, kind, n, d):
+        g = gen_family(kind, n, d)
+        back = parse_graph(graph_to_text(g))
+        assert type(back) is UndirectedRegularGraph and back == g
 
 
 class TestRandomGenerator:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cyclefactor.errors import BadParameters, GraphDisconnected
+from cyclefactor.exact import build_report, cycle_law
 from cyclefactor.graphs import (
     CycleFactor,
     UndirectedRegularGraph,
@@ -28,6 +29,21 @@ PETERSEN = UndirectedRegularGraph.from_lists(
     [[1, 4, 5], [0, 2, 6], [1, 3, 7], [2, 4, 8], [0, 3, 9],
      [0, 7, 8], [1, 8, 9], [2, 5, 9], [3, 5, 6], [4, 6, 7]],
 )
+
+
+class TestUndirectedAsDigraph:
+    """An undirected graph goes to the digraph APIs as itself."""
+
+    @pytest.mark.parametrize(
+        "g", [PETERSEN, gen_family("clique_union", 8, 3)], ids=["petersen", "clique_union"]
+    )
+    def test_same_results_as_doubled(self, g):
+        doubled = double_undirected(g)
+        assert build_report(g) == build_report(doubled)
+        assert cycle_law(g) == cycle_law(doubled)
+        for backend in ("exact", "mcmc"):
+            cfg = SamplerConfig(backend=backend, seed=5)
+            assert min_cycle_factor(g, cfg) == min_cycle_factor(doubled, cfg)
 
 
 class TestUndirectedCycleFactor:
