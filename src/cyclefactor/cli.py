@@ -27,7 +27,6 @@ from .exact import build_report, cycle_bound
 from .graphs import (
     RegularDigraph,
     UndirectedRegularGraph,
-    double_undirected,
     gen_family,
     gen_random_regular_digraph,
     graph_to_text,
@@ -52,8 +51,13 @@ EXIT_IO = 4
 FAMILIES = ("complete_loops", "clique_union", "cycle", "complete_bipartite_like")
 
 
-def instance_hash(g) -> str:
-    return hashlib.sha256(graph_to_text(g).encode()).hexdigest()[:16]
+def instance_hash(g, as_digraph: bool = False) -> str:
+    """The first 16 hex digits of the sha256 of g's text; with as_digraph,
+    of its doubled digraph's text: the same rows under a digraph header."""
+    text = graph_to_text(g)
+    if as_digraph:
+        text = f"digraph {g.n} {g.d}\n" + text.partition("\n")[2]
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _write(text: str, out: str | None) -> None:
@@ -152,10 +156,8 @@ def cmd_verify(args) -> int:
 
 def _factor_payload(g: RegularDigraph, args) -> tuple[dict, object]:
     """Run min-of-k and return the fields every sampling command reports,
-    with its best factor. An undirected g is reported, and its instance
-    hashed, as its doubled digraph."""
-    if isinstance(g, UndirectedRegularGraph):
-        g = double_undirected(g)
+    with its best factor. An undirected g is sampled as the doubled digraph
+    whose rows it stores, and its instance hashed as that digraph."""
     cfg = SamplerConfig(
         backend=args.backend,
         mcmc_steps=args.mcmc_steps,
@@ -164,7 +166,7 @@ def _factor_payload(g: RegularDigraph, args) -> tuple[dict, object]:
     )
     result = min_cycle_factor(g, cfg)
     payload = {
-        "instance_hash": instance_hash(g),
+        "instance_hash": instance_hash(g, as_digraph=True),
         "seed": args.seed,
         "backend": result.backend,
         "steps": cfg.resolve_steps(g) if result.backend == "mcmc" else 0,

@@ -40,10 +40,15 @@ __all__ = [
 EXACT_MAX_N = MAX_STATES.bit_length() - 1
 _MASK64 = (1 << 64) - 1
 # MCMC min-of-k runs split across processes from this many chain steps in
-# all (k times the budget). Forking, piping and reaping a child costs
-# 2.3-6.5 ms in 14-94 MB processes and 2^16 steps take 17-19 ms (2-core
-# x86-64, CPython 3.11), so a second core saves about 9 ms at the threshold.
+# all (k times the budget). A two-process split costs 4.7-4.9 ms more than
+# a serial run of draws that cost nothing in a 20 MB process, 6.4-7.7 ms at
+# 50 MB, 12-15 ms at 100 MB, and a budget step costs 0.18-0.21 us (2-core
+# x86-64, CPython 3.11). A second core saves half the steps, so it breaks
+# even at 2^15.6 steps in all at 20 MB, 2^16.2 at 50 MB, 2^17.1 at 100 MB.
 SPLIT_MIN_STEPS = 1 << 16
+# The burn-in's coins are drawn at most this many to a getrandbits call,
+# so a draw holds 128 KiB of them whatever the step budget.
+_COIN_CHUNK = 1 << 20
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -52,6 +57,17 @@ def derive_seed(seed: int, index: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def _heads(getrandbits, flips: int) -> int:
+    """The number of heads in ``flips`` fair coins, a Binomial(flips, 1/2)
+    count: the set bits of ``flips`` random bits, drawn _COIN_CHUNK at a
+    time."""
+    heads = 0
+    while flips > _COIN_CHUNK:
+        heads += getrandbits(_COIN_CHUNK).bit_count()
+        flips -= _COIN_CHUNK
+    return heads + getrandbits(flips).bit_count()
 
 
 @dataclass(frozen=True)
@@ -80,8 +96,8 @@ class SamplerConfig:
     def resolve_steps(self, g: RegularDigraph) -> int:
         if self.mcmc_steps is not None:
             return self.mcmc_steps
-        # Ten times 0.5 n^2 d, the smallest budget that matched the exact
-        # law on every family swept (README, "MCMC step budget").
+        # Ten times 0.5 n^2 d, about the smallest budget that matched the
+        # exact law on every family swept (README, "MCMC step budget").
         return 5 * g.n * g.n * g.d
 
     def resolve_num_samples(self, n: int) -> int:
@@ -219,6 +235,10 @@ class MCMCFactorSampler:
     matching, runs the configured burn-in (``steps``), and returns the
     first perfect state at or after it. A draw that meets no perfect state
     within 101 * ``steps`` steps raises ``StepBudgetExhausted``.
+
+    A lazy step leaves the state as it is, so the burn-in is drawn as
+    Binomial(``steps``, 1/2) moves in a row, the same law as ``steps``
+    lazy steps for fewer random draws.
     """
 
     def __init__(self, g: RegularDigraph, steps: int):
@@ -240,6 +260,11 @@ class MCMCFactorSampler:
 
     def sample(self, rng: random.Random) -> CycleFactor:
         """One draw from ``rng``'s stream.
+
+        The burn-in's ``steps`` lazy coins come first, as one count of
+        moves (``_heads``); those moves then run with no coin. From the
+        budget on, each step flips its coin with ``rng.random()``, and the
+        draw returns at the first perfect state.
 
         Each move is drawn as CPython 3.11's ``rng.randrange(w)`` draws it
         (``Random._randbelow_with_getrandbits``): ``getrandbits(k)`` with
@@ -268,11 +293,14 @@ class MCMCFactorSampler:
         bits_n = n.bit_length()
         w_apart, bits_apart = 2 * d, (2 * d).bit_length()
         w_shared, bits_shared = 2 * d - 1, (2 * d - 1).bit_length()
-        for step in range(limit):
-            if hole_u == -1 and step >= budget:
-                return CycleFactor.from_sigma(match_u)
-            if rnd() < 0.5:
-                continue
+        # Before the budget the draw never returns and a lazy step changes
+        # nothing, so only the burn-in's moves are run, with no coin.
+        for step in range(budget - _heads(bits, budget), limit):
+            if step >= budget:
+                if hole_u == -1:
+                    return CycleFactor.from_sigma(match_u)
+                if rnd() < 0.5:
+                    continue
             if hole_u == -1:
                 u = bits(bits_n)
                 while u >= n:

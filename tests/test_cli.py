@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,8 +10,10 @@ from cyclefactor.cli import main
 from cyclefactor.graphs import (
     CycleFactor,
     RegularDigraph,
+    double_undirected,
     gen_family,
     gen_random_regular_digraph,
+    graph_to_text,
     read_graph,
     to_bipartite,
     write_graph,
@@ -236,6 +239,18 @@ class TestFactorCommands:
         write_graph(gen_family("clique_union", 8, 3), path)
         code, _, _ = run(capsys, "tour", path, "--seed", 2)
         assert code == 2
+
+    @pytest.mark.parametrize("cmd", ["cyclefactor", "tour", "pathfactor"])
+    def test_undirected_hashed_as_its_digraph(self, tmp_path, capsys, cmd):
+        g = gen_family("cycle", 10, 2)
+        path = tmp_path / "g.graph"
+        write_graph(g, path)
+        digraph_text = graph_to_text(double_undirected(g))
+        assert digraph_text.startswith("digraph 10 2\n")
+        code, out, _ = run(capsys, cmd, path, "--seed", 3)
+        assert code == 0
+        want = hashlib.sha256(digraph_text.encode()).hexdigest()[:16]
+        assert json.loads(out)["instance_hash"] == want
 
     def test_determinism(self, tmp_path, capsys):
         path = tmp_path / "g.digraph"
