@@ -139,13 +139,15 @@ class TestFrontierOrder:
         assert exact._frontier_order(doubled.out_adj)[:4] == [0, 2, 4, 6]
 
     def test_doubled_c40_fits_a_narrow_budget(self, monkeypatch):
-        # Frontier order needs 421 table entries here; index order 5,551.
-        monkeypatch.setattr(exact, "MAX_STATES", 1_000)
-        monkeypatch.setattr(sampling, "MAX_STATES", 1_000)
+        # Frontier order with dead sets dropped needs 79 table entries
+        # here, at most 2 per level; kept, they make 421 entries and a
+        # widest level of 20 (index order: 5,551).
+        monkeypatch.setattr(exact, "MAX_STATES", 2)
+        monkeypatch.setattr(sampling, "MAX_STATES", 79)
         doubled = double_undirected(gen_family("cycle", 40, 2))
         assert permanent(to_bipartite(doubled)) == 4
         sampler = ExactFactorSampler(doubled)
-        assert (sampler.total, len(sampler._counts)) == (4, 421)
+        assert (sampler.total, len(sampler._counts)) == (4, 79)
         rng = random.Random(0)
         assert all(sampler.sample(rng).is_factor_of(doubled) for _ in range(10))
 
@@ -157,6 +159,78 @@ class TestFrontierOrder:
         cf = ExactFactorSampler(g).sample(random.Random(0))
         assert cf.sigma == (11, 8, 7, 9, 6, 10, 2, 0, 5, 3, 4, 1)
         assert cf.is_factor_of(g)
+
+
+def unpruned_levels(out_adj):
+    """Every level of the counting recurrence in the package's push order,
+    with no column set dropped: level t maps a set to the number of
+    matchings of the first t rows pushed onto the columns outside it."""
+    n = len(out_adj)
+    levels = [{(1 << n) - 1: 1}]
+    for row in exact._frontier_order(out_adj):
+        nxt = Counter()
+        for left, ways in levels[-1].items():
+            for v in out_adj[row]:
+                if left >> v & 1:
+                    nxt[left ^ 1 << v] += ways
+        levels.append(dict(nxt))
+    return levels
+
+
+def closed_masks(out_adj):
+    """Mask t: the columns whose every in-row is among the first t rows pushed."""
+    n = len(out_adj)
+    in_rows = [{r for r in range(n) if c in out_adj[r]} for c in range(n)]
+    pushed = set()
+    masks = [0]
+    for row in exact._frontier_order(out_adj):
+        pushed.add(row)
+        masks.append(sum(1 << c for c in range(n) if in_rows[c] <= pushed))
+    return masks
+
+
+def dead_set_instances():
+    rng = random.Random(22)
+    graphs = []
+    for _ in range(10):
+        n = rng.randint(4, 12)
+        d = rng.randint(2, min(n - 1, 4))
+        graphs.append(gen_random_regular_digraph(n, d, rng.randrange(10**6)))
+    return graphs + [double_undirected(gen_family("cycle", 40, 2))]
+
+
+class TestDeadSets:
+    @pytest.mark.parametrize("g", dead_set_instances(), ids=lambda g: f"{g.n}-{g.d}")
+    def test_levels_are_the_recurrence_less_closed_free_sets(self, g):
+        full = unpruned_levels(g.out_adj)
+        closed = closed_masks(g.out_adj)
+        levels = [level for _, level in exact.completion_levels(g.out_adj)]
+        assert levels == [
+            {left: ways for left, ways in level.items() if not left & mask}
+            for level, mask in zip(full, closed)
+        ]
+        assert levels[-1] == full[-1] == {0: permanent(g.out_adj)}
+
+    @pytest.mark.parametrize("g", [
+        gen_random_regular_digraph(16, 3, 1),
+        gen_random_regular_digraph(20, 3, 1),
+        gen_random_regular_digraph(12, 4, 2),
+        gen_random_regular_digraph(14, 2, 3, allow_loops=False),
+        double_undirected(gen_family("clique_union", 12, 3)),
+        double_undirected(gen_family("cycle", 40, 2)),
+    ], ids=["random16-3", "random20-3", "random12-4", "random14-2", "clique_union12-3", "doubled_c40"])
+    def test_draws_equal_unpruned_table_draws(self, g):
+        # A draw never reads a dropped set, so the pruned table draws the
+        # same factor as the full one for every seed.
+        sampler = ExactFactorSampler(g)
+        reference = ExactFactorSampler(g)
+        reference._counts = {left: ways for level in unpruned_levels(g.out_adj)
+                             for left, ways in level.items()}
+        assert len(sampler._counts) < len(reference._counts)
+        for seed in range(50):
+            want = reference.sample(random.Random(seed))
+            assert sampler.sample(random.Random(seed)) == want, seed
+            assert want.is_factor_of(g)
 
 
 class TestEnumeration:
@@ -266,6 +340,22 @@ class TestCycleCensus:
             exact.cycle_law(complete_loops(8))
         monkeypatch.setattr(exact, "CENSUS_MAX_STATES", 504)
         assert exact.cycle_law(complete_loops(8)) == stirling_law(8)
+
+    @pytest.mark.parametrize("n, d, law", [
+        (16, 3, {1: 30, 2: 111, 3: 189, 4: 159, 5: 59, 6: 8}),
+        (12, 6, {1: 16433, 2: 50637, 3: 63476, 4: 42248, 5: 15988, 6: 3310, 7: 305, 8: 7}),
+    ])
+    def test_golden_random_laws(self, n, d, law):
+        assert exact.cycle_law(gen_random_regular_digraph(n, d, 1)) == law
+
+    def test_random_12_3_state_count(self, monkeypatch):
+        # Random 12/3 (seed 1): the two levels in hand peak at 288 states.
+        g = gen_random_regular_digraph(12, 3, 1)
+        monkeypatch.setattr(exact, "CENSUS_MAX_STATES", 287)
+        with pytest.raises(SizeLimitExceeded, match="over 287 states at level 7$"):
+            exact.cycle_law(g)
+        monkeypatch.setattr(exact, "CENSUS_MAX_STATES", 288)
+        assert exact.cycle_law(g) == {1: 22, 2: 53, 3: 49, 4: 13, 5: 4}
 
     def test_double_count_checked_under_optimize(self):
         # The census count is checked against the permanent even under
