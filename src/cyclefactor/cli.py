@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .entropy import REVEAL_MAX_N, reveal_audit
-from .errors import BadParameters, CycleFactorError, FormatMismatch, ParseError, SizeLimitExceeded
+from .errors import BadParameters, CycleFactorError, GraphError, ParseError, SizeLimitExceeded
 from .exact import build_report, cycle_bound
 from .graphs import (
     RegularDigraph,
@@ -32,13 +32,12 @@ from .graphs import (
     graph_to_text,
     read_graph,
 )
-from .sampling import SamplerConfig, min_cycle_factor
+from .sampling import MinFactorResult, SamplerConfig, min_cycle_factor
 from .transforms import (
     PathFactor,
     Tour,
     to_path_factor,
     to_tour,
-    to_undirected_cycle_factor,
     verify_path_factor,
     verify_tour,
 )
@@ -80,7 +79,7 @@ def _load_graph(path: str):
         return read_graph(path)
     except OSError as e:
         raise OSError(f"cannot read {path}: {e}") from None
-    except (ParseError, FormatMismatch) as e:
+    except (ParseError, GraphError) as e:
         raise BadParameters(f"bad graph file {path}: {e}") from None
 
 
@@ -100,6 +99,14 @@ def _tour(cycles, g: UndirectedRegularGraph) -> Tour:
     if not check.ok:
         raise BadParameters(f"tour failed re-validation: {check.violations}")
     return tour
+
+
+def _min_factor(g: RegularDigraph, cfg: SamplerConfig) -> MinFactorResult:
+    """Min-of-k on g, its best factor re-validated against g."""
+    result = min_cycle_factor(g, cfg)
+    if not result.factor.is_factor_of(g):
+        raise BadParameters("sampled object failed independent re-validation")
+    return result
 
 
 def cmd_gen(args) -> int:
@@ -164,7 +171,7 @@ def _factor_payload(g: RegularDigraph, args) -> tuple[dict, object]:
         num_samples=args.samples,
         seed=args.seed,
     )
-    result = min_cycle_factor(g, cfg)
+    result = _min_factor(g, cfg)
     payload = {
         "instance_hash": instance_hash(g, as_digraph=True),
         "seed": args.seed,
@@ -181,9 +188,7 @@ def _factor_payload(g: RegularDigraph, args) -> tuple[dict, object]:
 
 def cmd_cyclefactor(args) -> int:
     g = _load_graph(args.path)
-    payload, factor = _factor_payload(g, args)
-    if not factor.is_factor_of(g):
-        raise BadParameters("sampled object failed independent re-validation")
+    payload, _ = _factor_payload(g, args)
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -195,7 +200,7 @@ def _undirected_cycles(args, construction: str):
     if not isinstance(g, UndirectedRegularGraph):
         raise BadParameters(f"{construction} construction needs an undirected graph")
     payload, factor = _factor_payload(g, args)
-    return g, payload, to_undirected_cycle_factor(factor, g)
+    return g, payload, factor.cycles
 
 
 def cmd_pathfactor(args) -> int:
@@ -246,12 +251,12 @@ def _bench_outputs(g, cfg: SamplerConfig, oracle_max_n: int) -> dict:
     outputs: dict = {}
     if g.n <= oracle_max_n:
         outputs["oracle"] = json.loads(build_report(g).to_json())
-    result = min_cycle_factor(g, cfg)
+    result = _min_factor(g, cfg)
     outputs["cycle_counts"] = list(result.cycle_counts)
     outputs["min_cycles"] = result.best_count
     outputs["backend"] = result.backend
     if isinstance(g, UndirectedRegularGraph):
-        cycles = to_undirected_cycle_factor(result.factor, g)
+        cycles = result.factor.cycles
         outputs["path_count"] = _path_factor(cycles, g).num_paths
         if g.is_connected():
             outputs["tour_length"] = _tour(cycles, g).length

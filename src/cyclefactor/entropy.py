@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidDistribution, SizeLimitExceeded
+from .errors import BadParameters, SizeLimitExceeded
 from .exact import entropy_loss
 from .graphs import RegularDigraph
 
@@ -37,14 +37,14 @@ _SLACK = 1e-9
 def _validate(probs) -> tuple[float, ...]:
     probs = tuple(float(p) for p in probs)
     if not probs:
-        raise InvalidDistribution("empty distribution")
+        raise BadParameters("empty distribution")
     if not all(math.isfinite(p) for p in probs):
-        raise InvalidDistribution("non-finite probability")
+        raise BadParameters("non-finite probability")
     if any(p < 0 for p in probs):
-        raise InvalidDistribution("negative probability")
+        raise BadParameters("negative probability")
     total = sum(probs)
     if abs(total - 1.0) > _SUM_TOLERANCE:
-        raise InvalidDistribution(f"probabilities sum to {total}, not 1")
+        raise BadParameters(f"probabilities sum to {total}, not 1")
     return probs
 
 

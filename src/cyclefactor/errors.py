@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per outcome a caller
+can act on. ``cli.main`` maps SizeLimitExceeded to exit 3 and every other
+CycleFactorError to exit 2."""
 
 
 class CycleFactorError(Exception):
@@ -6,60 +8,23 @@ class CycleFactorError(Exception):
 
 
 class GraphError(CycleFactorError):
-    """Base class for graph validation and construction errors."""
-
-
-class DegreeMismatch(GraphError):
-    def __init__(self, vertex: int, found: int, expected: int, kind: str = "out"):
-        self.kind = kind
-        what = kind if kind == "degree" else f"{kind}-degree"
-        super().__init__(f"vertex {vertex} has {what} {found}, expected {expected}")
-
-
-class DuplicateEdge(GraphError):
-    def __init__(self, u: int, v: int):
-        super().__init__(f"duplicate edge ({u}, {v})")
-
-
-class IndexOutOfRange(GraphError):
-    def __init__(self, vertex: int, n: int):
-        super().__init__(f"vertex index {vertex} out of range [0, {n})")
-
-
-class AsymmetricEdge(GraphError):
-    def __init__(self, u: int, v: int):
-        super().__init__(f"edge ({u}, {v}) present but ({v}, {u}) missing")
-
-
-class LoopNotAllowed(GraphError):
-    def __init__(self, vertex: int):
-        super().__init__(f"loop at vertex {vertex} not allowed in undirected graph")
-
-
-class BadParameters(CycleFactorError):
-    pass
+    """A graph breaks an invariant of its type."""
 
 
 class ParseError(CycleFactorError):
+    """A file is not a graph in the text format; names the line at fault."""
+
     def __init__(self, line: int, reason: str):
         super().__init__(f"line {line}: {reason}")
 
 
-class FormatMismatch(CycleFactorError):
-    pass
+class BadParameters(CycleFactorError):
+    """An argument is out of range or inconsistent with the others."""
 
 
 class SizeLimitExceeded(CycleFactorError):
-    pass
+    """Work refused because it would exceed a size or state budget."""
 
 
 class StepBudgetExhausted(CycleFactorError):
-    pass
-
-
-class GraphDisconnected(CycleFactorError):
-    pass
-
-
-class InvalidDistribution(CycleFactorError):
-    pass
+    """The chain met no perfect state within its step budget."""

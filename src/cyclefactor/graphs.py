@@ -17,18 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import (
-    AsymmetricEdge,
-    BadParameters,
-    CycleFactorError,
-    DegreeMismatch,
-    DuplicateEdge,
-    FormatMismatch,
-    GraphError,
-    IndexOutOfRange,
-    LoopNotAllowed,
-    ParseError,
-)
+from .errors import BadParameters, GraphError, ParseError
 
 __all__ = [
     "RegularDigraph",
@@ -142,7 +131,7 @@ class CycleFactor:
 
 
 def require_valid(g) -> None:
-    """Raise the first invariant violation of g, if any.
+    """Raise the first invariant violation of g, if any, as a GraphError.
 
     Graphs call this when built. Rows must be strictly increasing
     (``has_edge`` bisects them) and have exactly d entries in [0, n).
@@ -154,16 +143,17 @@ def require_valid(g) -> None:
     rows, n, d = g.out_adj, g.n, g.d
     directed = not isinstance(g, UndirectedRegularGraph)
     if not (1 <= d <= n):
-        raise BadParameters(f"need 1 <= d <= n, got d={d}, n={n}")
+        raise GraphError(f"need 1 <= d <= n, got d={d}, n={n}")
     if len(rows) != n:
-        raise BadParameters("adjacency row count != n")
+        raise GraphError("adjacency row count != n")
     # One chained comparison per entry checks range and order at once;
     # loop is the one entry a row may not hold (-1, none, in a digraph).
     # _entry_fault names the fault of the entry that fails.
     in_deg = [0] * n
+    what = "out-degree" if directed else "degree"
     for u, row in enumerate(rows):
         if len(row) != d:
-            raise DegreeMismatch(u, len(row), d, kind="out" if directed else "degree")
+            raise GraphError(f"vertex {u} has {what} {len(row)}, expected {d}")
         prev, loop = -1, -1 if directed else u
         for v in row:
             if not prev < v < n or v == loop:
@@ -173,7 +163,7 @@ def require_valid(g) -> None:
     if directed:
         for v, deg in enumerate(in_deg):
             if deg != d:
-                raise DegreeMismatch(v, deg, d, kind="in")
+                raise GraphError(f"vertex {v} has in-degree {deg}, expected {d}")
         return
     # Symmetric rows of length d give every vertex in-degree d.
     for u, row in enumerate(rows):
@@ -181,19 +171,19 @@ def require_valid(g) -> None:
             back = rows[v]
             k = bisect_left(back, u)
             if k == d or back[k] != u:
-                raise AsymmetricEdge(u, v)
+                raise GraphError(f"edge ({u}, {v}) present but ({v}, {u}) missing")
 
 
-def _entry_fault(u: int, v: int, prev: int, n: int, loops: bool) -> CycleFactorError:
+def _entry_fault(u: int, v: int, prev: int, n: int, loops: bool) -> GraphError:
     """What is wrong with entry v of row u, after prev, when the entries
     before it are in range, increasing and loop-free."""
     if not 0 <= v < n:
-        return IndexOutOfRange(v, n)
+        return GraphError(f"vertex index {v} out of range [0, {n})")
     if v == u and not loops:
-        return LoopNotAllowed(u)
+        return GraphError(f"loop at vertex {u} not allowed in undirected graph")
     if v == prev:
-        return DuplicateEdge(u, v)
-    return BadParameters(f"row {u} is not strictly increasing")
+        return GraphError(f"duplicate edge ({u}, {v})")
+    return GraphError(f"row {u} is not strictly increasing")
 
 
 def to_bipartite(g: RegularDigraph) -> tuple[tuple[int, ...], ...]:
@@ -345,7 +335,10 @@ def write_graph(g, path) -> None:
 
 
 def parse_graph(text: str):
-    """Parse the text format; strict about counts, duplicates, and symmetry."""
+    """Parse the text format; strict about counts, duplicates, and symmetry.
+
+    Raises ParseError when the text is not in the format, and GraphError
+    when it is but the graph it gives breaks an invariant."""
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -374,10 +367,7 @@ def parse_graph(text: str):
             raise ParseError(lineno, f"expected {d} neighbours, found {len(row)}")
         rows.append(row)
     cls = RegularDigraph if parts[0] == "digraph" else UndirectedRegularGraph
-    try:
-        return cls.from_lists(n, d, rows)
-    except (GraphError, BadParameters) as e:
-        raise FormatMismatch(str(e)) from None
+    return cls.from_lists(n, d, rows)
 
 
 def read_graph(path):

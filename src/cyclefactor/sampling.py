@@ -36,7 +36,7 @@ __all__ = [
 # The exact table holds at most every column subset, 2^n entries, so up
 # to this n it fits in MAX_STATES whatever order completion_levels pushes
 # the rows in. Past it, the fit depends on the widths of the levels in
-# frontier order (doubled C40 needs 421 entries), not on n.
+# frontier order (doubled C40 needs 79 entries), not on n.
 EXACT_MAX_N = MAX_STATES.bit_length() - 1
 _MASK64 = (1 << 64) - 1
 # MCMC min-of-k runs split across processes from this many chain steps in

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import BadParameters, GraphDisconnected
+from .errors import BadParameters
 from .graphs import CycleFactor, UndirectedRegularGraph
 
 __all__ = [
@@ -105,7 +105,7 @@ def to_tour(cycles: tuple[tuple[int, ...], ...], g: UndirectedRegularGraph) -> T
     tree edge twice, so its length is at most n + 2(c - 1).
     """
     if not g.is_connected():
-        raise GraphDisconnected("tour construction needs a connected graph")
+        raise BadParameters("tour construction needs a connected graph")
     cyc_of = [-1] * g.n
     for ci, cyc in enumerate(cycles):
         for v in cyc:

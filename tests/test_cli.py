@@ -295,6 +295,7 @@ def _error_inputs(tmp):
     write_graph(gen_family("clique_union", 8, 3), tmp / "cliques.graph")
     write_graph(gen_random_regular_digraph(60, 10, 1), tmp / "random60.digraph")
     (tmp / "bad.digraph").write_text("digraph 2 1\n1\n1\n")
+    (tmp / "d_over_n.digraph").write_text("digraph 1 2\n0 0\n")
     (tmp / "notjson.json").write_text("{")
     (tmp / "list.json").write_text("[]")
     (tmp / "shape.json").write_text(json.dumps({"config": [], "instances": []}))
@@ -342,6 +343,10 @@ ERROR_CASES = [
         ["verify", "{tmp}/bad.digraph"],
         2, "bad graph file {tmp}/bad.digraph: vertex 0 has in-degree 0, expected 1",
         id="malformed-graph-file"),
+    pytest.param(
+        ["verify", "{tmp}/d_over_n.digraph"],
+        2, "bad graph file {tmp}/d_over_n.digraph: need 1 <= d <= n, got d=2, n=1",
+        id="graph-file-d-over-n"),
     pytest.param(
         ["verify", "{tmp}"],
         4, "cannot read {tmp}: [Errno 21] Is a directory: '{tmp}'", id="graph-file-is-directory"),
@@ -410,18 +415,25 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+_NOT_A_FACTOR = "sampled object failed independent re-validation"
+
+
 @pytest.mark.parametrize("cmd, path, message", [
-    ("cyclefactor", "k4.digraph", "sampled object failed independent re-validation"),
+    ("cyclefactor", "k4.digraph", _NOT_A_FACTOR),
+    ("pathfactor", "cycle.graph", _NOT_A_FACTOR),
+    ("tour", "cycle.graph", _NOT_A_FACTOR),
     ("pathfactor", "cycle.graph", "path-factor failed re-validation: ('X',)"),
     ("tour", "cycle.graph", "tour failed re-validation: ('X',)"),
 ])
 def test_failed_revalidation_exit_code_and_stderr(tmp_path, capsys, monkeypatch, cmd, path, message):
+    # The factor check fails the sampled factor, else the transform checks
+    # fail the path-factor or the tour.
     write_graph(gen_family("complete_loops", 4, 4), tmp_path / "k4.digraph")
     write_graph(gen_family("cycle", 6, 2), tmp_path / "cycle.graph")
     failed = lambda *args: CheckReport(False, ("X",))
     monkeypatch.setattr(cli, "verify_path_factor", failed)
     monkeypatch.setattr(cli, "verify_tour", failed)
-    if cmd == "cyclefactor":
+    if message == _NOT_A_FACTOR:
         monkeypatch.setattr(CycleFactor, "is_factor_of", lambda self, g: False)
     got = run(capsys, cmd, tmp_path / path, "--seed", 1)
     assert got == (2, "", message + "\n")
@@ -643,6 +655,25 @@ class TestBench:
         code, err, out = self.bench_raw(tmp_path, capsys, manifest)
         assert code == 2
         assert json.loads(err)["partial_failures"][0]["error"] == "manifest instance n not an integer"
+        assert len(out.read_text().splitlines()) == 1
+
+    def test_failed_factor_check_is_partial_failure(self, tmp_path, capsys, monkeypatch):
+        # Directed and undirected instances alike go through the factor check.
+        monkeypatch.setattr(CycleFactor, "is_factor_of", lambda self, g: False)
+        instances = [{"family": "complete_loops", "n": 4, "d": 4}, {"family": "cycle", "n": 6, "d": 2}]
+        code, err, out = self.bench_raw(tmp_path, capsys, {"config": {"samples": 2}, "instances": instances})
+        assert code == 2
+        assert json.loads(err)["partial_failures"] == [
+            {"instance": desc, "error": _NOT_A_FACTOR} for desc in instances]
+        assert out.read_text() == ""
+
+    def test_instance_path_not_string(self, tmp_path, capsys):
+        manifest = {"config": {"samples": 2},
+                    "instances": [{"path": 5}, {"family": "cycle", "n": 6, "d": 2}]}
+        code, err, out = self.bench_raw(tmp_path, capsys, manifest)
+        assert code == 2
+        assert json.loads(err)["partial_failures"][0] == {
+            "instance": {"path": 5}, "error": "manifest instance path is not a string"}
         assert len(out.read_text().splitlines()) == 1
 
     def test_instance_not_object(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ from cyclefactor.entropy import (
     reveal_audit,
     shannon_entropy,
 )
-from cyclefactor.errors import InvalidDistribution, SizeLimitExceeded
+from cyclefactor.errors import BadParameters, SizeLimitExceeded
 from cyclefactor.graphs import RegularDigraph, gen_family, gen_random_regular_digraph
 
 
@@ -28,12 +28,18 @@ class TestShannonEntropy:
     def test_half_quarter_quarter(self):
         assert shannon_entropy([0.5, 0.25, 0.25]) == pytest.approx(1.5)
 
-    @pytest.mark.parametrize(
-        "probs", [[], [0.5, 0.4], [1.2, -0.2], [math.nan, 1.0], [math.nan]]
-    )
-    def test_invalid(self, probs):
-        with pytest.raises(InvalidDistribution):
+    # Explicit ids keep these cases' test names stable.
+    @pytest.mark.parametrize("probs, message", [
+        pytest.param([], "empty distribution", id="probs0"),
+        pytest.param([0.5, 0.4], "probabilities sum to 0.9, not 1", id="probs1"),
+        pytest.param([1.2, -0.2], "negative probability", id="probs2"),
+        pytest.param([math.nan, 1.0], "non-finite probability", id="probs3"),
+        pytest.param([math.nan], "non-finite probability", id="probs4"),
+    ])
+    def test_invalid(self, probs, message):
+        with pytest.raises(BadParameters) as e:
             shannon_entropy(probs)
+        assert str(e.value) == message
 
     def test_bounded_by_log_support(self):
         rng = random.Random(0)
@@ -71,7 +77,7 @@ class TestSkewLemma:
             assert check_skew_lemma(random_simplex_point(rng, s)).holds
 
     def test_rejects_nan(self):
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(BadParameters, match="^non-finite probability$"):
             check_skew_lemma([math.nan, 1.0])
 
 

@@ -5,16 +5,7 @@ from collections import Counter
 import pytest
 from scipy.stats import chisquare
 
-from cyclefactor.errors import (
-    AsymmetricEdge,
-    BadParameters,
-    DegreeMismatch,
-    DuplicateEdge,
-    FormatMismatch,
-    IndexOutOfRange,
-    LoopNotAllowed,
-    ParseError,
-)
+from cyclefactor.errors import BadParameters, GraphError, ParseError
 from cyclefactor.graphs import (
     CycleFactor,
     RegularDigraph,
@@ -60,28 +51,37 @@ class TestValidateDigraph:
         RegularDigraph(1, 1, ((0,),))
 
     def test_in_degree_mismatch(self):
-        with pytest.raises(DegreeMismatch) as e:
+        with pytest.raises(GraphError, match="^vertex 0 has in-degree 0, expected 1$"):
             RegularDigraph(2, 1, ((1,), (1,)))
-        assert e.value.kind == "in"
 
     def test_complete_with_loops_valid(self):
         complete_loops(3)
 
     def test_duplicate_edge(self):
-        with pytest.raises(DuplicateEdge):
+        with pytest.raises(GraphError, match=r"^duplicate edge \(0, 0\)$"):
             RegularDigraph(2, 2, ((0, 0), (0, 1)))
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(GraphError, match=r"^vertex index 5 out of range \[0, 2\)$"):
             RegularDigraph(2, 1, ((5,), (0,)))
 
     def test_out_degree_mismatch(self):
-        with pytest.raises(DegreeMismatch):
+        with pytest.raises(GraphError, match="^vertex 0 has out-degree 1, expected 2$"):
             RegularDigraph(2, 2, ((0,), (0, 1)))
+
+    @pytest.mark.parametrize("n, d, rows, message", [
+        (2, 0, ((), ()), "need 1 <= d <= n, got d=0, n=2"),
+        (1, 2, ((0, 1),), "need 1 <= d <= n, got d=2, n=1"),
+        (2, 1, ((1,),), "adjacency row count != n"),
+    ])
+    def test_shape_rejected(self, n, d, rows, message):
+        with pytest.raises(GraphError) as e:
+            RegularDigraph(n, d, rows)
+        assert str(e.value) == message
 
     def test_unsorted_row_rejected(self):
         # has_edge bisects rows, so (1, 0) would hide the loop at 0.
-        with pytest.raises(BadParameters, match="row 0 is not strictly increasing"):
+        with pytest.raises(GraphError, match="^row 0 is not strictly increasing$"):
             RegularDigraph(2, 2, ((1, 0), (0, 1)))
 
 
@@ -90,30 +90,29 @@ class TestValidateUndirected:
         gen_family("cycle", 6, 2)
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(AsymmetricEdge):
+        with pytest.raises(GraphError, match=r"^edge \(0, 1\) present but \(1, 0\) missing$"):
             UndirectedRegularGraph(3, 1, ((1,), (2,), (0,)))
 
     def test_asymmetry_reported_before_in_degree(self):
         # Vertex 0 has in-degree 2 and vertex 2 has 0, but an undirected
         # graph is never reported by its in-degree.
-        with pytest.raises(AsymmetricEdge, match=r"^edge \(2, 0\) present but \(0, 2\) missing$"):
+        with pytest.raises(GraphError, match=r"^edge \(2, 0\) present but \(0, 2\) missing$"):
             UndirectedRegularGraph(3, 1, ((1,), (0,), (0,)))
 
     def test_degree_mismatch_messages(self):
-        with pytest.raises(DegreeMismatch, match="^vertex 2 has degree 3, expected 2$") as e:
+        with pytest.raises(GraphError, match="^vertex 2 has degree 3, expected 2$"):
             UndirectedRegularGraph(4, 2, ((1, 2), (0, 2), (0, 1, 3), (2,)))
-        assert e.value.kind == "degree"
-        with pytest.raises(DegreeMismatch, match="^vertex 0 has out-degree 1, expected 2$"):
+        with pytest.raises(GraphError, match="^vertex 0 has out-degree 1, expected 2$"):
             RegularDigraph(2, 2, ((0,), (0, 1)))
-        with pytest.raises(DegreeMismatch, match="^vertex 0 has in-degree 0, expected 1$"):
+        with pytest.raises(GraphError, match="^vertex 0 has in-degree 0, expected 1$"):
             RegularDigraph(2, 1, ((1,), (1,)))
 
     def test_loop_rejected(self):
-        with pytest.raises(LoopNotAllowed):
+        with pytest.raises(GraphError, match="^loop at vertex 0 not allowed in undirected graph$"):
             UndirectedRegularGraph(2, 1, ((0,), (1,)))
 
     def test_unsorted_row_rejected(self):
-        with pytest.raises(BadParameters, match="row 0 is not strictly increasing"):
+        with pytest.raises(GraphError, match="^row 0 is not strictly increasing$"):
             UndirectedRegularGraph(4, 2, ((3, 1), (0, 2), (1, 3), (0, 2)))
 
 
@@ -323,6 +322,16 @@ class TestIo:
             parse_graph(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: empty file"),
+        ("# only a comment\n\n", "line 1: empty file"),
+        ("\ndigraph 2 x\n0\n1\n", "line 2: non-integer header fields in 'digraph 2 x'"),
+    ])
+    def test_empty_file_or_non_integer_header(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == message
+
     def test_missing_lines(self):
         with pytest.raises(ParseError):
             parse_graph("digraph 3 1\n1\n2\n")
@@ -332,11 +341,11 @@ class TestIo:
             parse_graph("multigraph 2 1\n1\n0\n")
 
     def test_asymmetric_undirected_rejected(self):
-        with pytest.raises(FormatMismatch):
+        with pytest.raises(GraphError, match=r"^edge \(0, 1\) present but \(1, 0\) missing$"):
             parse_graph("graph 3 1\n1\n2\n0\n")
 
     def test_invalid_digraph_rejected(self):
-        with pytest.raises(FormatMismatch):
+        with pytest.raises(GraphError, match="^vertex 0 has in-degree 0, expected 1$"):
             parse_graph("digraph 2 1\n1\n1\n")
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cyclefactor.errors import BadParameters, GraphDisconnected
+from cyclefactor.errors import BadParameters
 from cyclefactor.exact import build_report, cycle_law
 from cyclefactor.graphs import (
     CycleFactor,
@@ -12,6 +12,7 @@ from cyclefactor.graphs import (
 )
 from cyclefactor.sampling import ExactFactorSampler, SamplerConfig, min_cycle_factor
 from cyclefactor.transforms import (
+    CheckReport,
     PathFactor,
     Tour,
     to_path_factor,
@@ -136,7 +137,7 @@ class TestTour:
 
     def test_disconnected_rejected(self):
         g = gen_family("clique_union", 8, 3)
-        with pytest.raises(GraphDisconnected):
+        with pytest.raises(BadParameters, match="^tour construction needs a connected graph$"):
             to_tour(((0, 1, 2, 3), (4, 5, 6, 7)), g)
 
     def test_disconnected_path_factor_still_works(self):
@@ -159,6 +160,11 @@ class TestTour:
         c4 = gen_family("cycle", 4, 2)
         with pytest.raises(BadParameters):
             to_tour(((0, 1),), c4)
+
+    def test_vertex_in_two_cycles_rejected(self):
+        c4 = gen_family("cycle", 4, 2)
+        with pytest.raises(BadParameters, match="^vertex 1 appears in two cycles$"):
+            to_tour(((0, 1), (1, 2, 3)), c4)
 
     @pytest.mark.parametrize("cycles", [((0, 1, 2, -1),), ((0, 1, 2, 4),)])
     def test_out_of_range_vertex_rejected(self, cycles):
@@ -201,6 +207,19 @@ class TestVerifiers:
         c4 = gen_family("cycle", 4, 2)
         report = verify_path_factor(PathFactor(((v, 0), (1, 2, 3))), c4)
         assert report.violations == (f"IndexOutOfRange: {v}",)
+
+    @pytest.mark.parametrize("paths, violations", [
+        (((), (0, 1, 2, 3)), ("EmptyPath",)),
+        (((0, 2), (1,), (3,)), ("NonEdge: (0, 2)",)),
+        (((0, 1),), ("UncoveredVertex: 2", "UncoveredVertex: 3")),
+    ], ids=["empty-path", "non-edge", "uncovered"])
+    def test_path_factor_violations(self, paths, violations):
+        c4 = gen_family("cycle", 4, 2)
+        assert verify_path_factor(PathFactor(paths), c4) == CheckReport(False, violations)
+
+    def test_empty_walk_rejected(self):
+        c4 = gen_family("cycle", 4, 2)
+        assert verify_tour(Tour(()), c4) == CheckReport(False, ("EmptyWalk",))
 
     def test_vertex_reuse_rejected(self):
         c4 = gen_family("cycle", 4, 2)
