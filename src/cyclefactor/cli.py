@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, required=True, help="64-bit RNG seed")
         p.add_argument("--backend", choices=("exact", "mcmc", "auto"), default="auto")
         p.add_argument("--samples", type=int, default=None, help="number of independent draws")
-        p.add_argument("--mcmc-steps", type=int, default=None, help="chain burn-in budget (default 5 n^2 d)")
+        p.add_argument("--mcmc-steps", type=int, default=None, help="chain burn-in budget (default 20 n d ceil(log2 n))")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("gen", help="generate a graph file")

@@ -76,7 +76,7 @@ class SamplerConfig:
     when n <= EXACT_MAX_N."""
 
     backend: str = "auto"  # exact | mcmc | auto
-    mcmc_steps: int | None = None  # default 5 * n^2 * d
+    mcmc_steps: int | None = None  # default 20 * n * d * max(1, ceil(log2 n))
     num_samples: int | None = None  # default max(10, ceil(4 * log2 n))
     seed: int = 0
 
@@ -96,9 +96,11 @@ class SamplerConfig:
     def resolve_steps(self, g: RegularDigraph) -> int:
         if self.mcmc_steps is not None:
             return self.mcmc_steps
-        # Ten times 0.5 n^2 d, about the smallest budget that matched the
-        # exact law on every family swept (README, "MCMC step budget").
-        return 5 * g.n * g.n * g.d
+        # Four times 5 n d ceil(log2 n), the smallest multiple at which
+        # every instance swept, n = 16-256, matched its exact reference
+        # (README, "MCMC step budget"); equal to 5 n^2 d at n = 16.
+        # (n - 1).bit_length() is ceil(log2 n), 0 at n = 1.
+        return 20 * g.n * g.d * max(1, (g.n - 1).bit_length())
 
     def resolve_num_samples(self, n: int) -> int:
         if self.num_samples is not None:

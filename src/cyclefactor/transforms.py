@@ -72,20 +72,35 @@ def to_undirected_cycle_factor(
     return cf.cycles
 
 
+def _cycle_index(cycles: tuple[tuple[int, ...], ...], n: int) -> list[int]:
+    """The index of the cycle holding each vertex of [0, n); raises
+    BadParameters unless the cycles partition [0, n)."""
+    cyc_of = [-1] * n
+    for ci, cyc in enumerate(cycles):
+        for v in cyc:
+            if not 0 <= v < n:
+                raise BadParameters(f"vertex {v} is out of range for n={n}")
+            if cyc_of[v] != -1:
+                raise BadParameters(f"vertex {v} appears in two cycles")
+            cyc_of[v] = ci
+    if -1 in cyc_of:
+        raise BadParameters("cycles do not cover every vertex")
+    return cyc_of
+
+
 def to_path_factor(
     cycles: tuple[tuple[int, ...], ...], g: UndirectedRegularGraph
 ) -> PathFactor:
-    """Remove one edge per cycle, yielding one path per cycle.
+    """Remove one edge per cycle, yielding one path per cycle. The cycles
+    must partition the vertices of g, as for ``to_tour``.
 
     A 2-cycle keeps its edge and becomes a 2-vertex path; a singleton
     stays a 1-vertex path. In longer cycles the removed edge is the one
     whose endpoint pair is largest, for determinism.
     """
+    _cycle_index(cycles, g.n)
     paths = []
     for cyc in cycles:
-        for v in cyc:
-            if not 0 <= v < g.n:
-                raise BadParameters(f"vertex {v} is out of range for n={g.n}")
         if len(cyc) <= 2:
             paths.append(tuple(cyc))
             continue
@@ -106,16 +121,7 @@ def to_tour(cycles: tuple[tuple[int, ...], ...], g: UndirectedRegularGraph) -> T
     """
     if not g.is_connected():
         raise BadParameters("tour construction needs a connected graph")
-    cyc_of = [-1] * g.n
-    for ci, cyc in enumerate(cycles):
-        for v in cyc:
-            if not 0 <= v < g.n:
-                raise BadParameters(f"vertex {v} is out of range for n={g.n}")
-            if cyc_of[v] != -1:
-                raise BadParameters(f"vertex {v} appears in two cycles")
-            cyc_of[v] = ci
-    if -1 in cyc_of:
-        raise BadParameters("cycles do not cover every vertex")
+    cyc_of = _cycle_index(cycles, g.n)
     c = len(cycles)
 
     # BFS tree over the contracted multigraph; for each child remember the

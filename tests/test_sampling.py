@@ -185,6 +185,41 @@ class TestMCMCSampler:
         se = statistics.stdev(obs) / math.sqrt(draws)
         assert abs(statistics.fmean(obs) - exp) <= 4 * se
 
+    def test_default_budget_matches_oracle_at_64(self):
+        # Sixteen blocks, each a uniform permutation of 4: E = 16 * H_4.
+        # With these draws the mean misses E by about 30 SE at 0.5 n d
+        # ceil(log2 n) steps, so a default cut that far fails here
+        # (README, "MCMC step budget").
+        g = gen_family("complete_loops", 64, 4)
+        sampler = MCMCFactorSampler(g, SamplerConfig().resolve_steps(g))
+        rng = random.Random(64)
+        draws = 1000
+        obs = [sampler.sample(rng).num_cycles for _ in range(draws)]
+        se = statistics.stdev(obs) / math.sqrt(draws)
+        assert abs(statistics.fmean(obs) - 100 / 3) <= 4 * se
+
+    def test_default_budget_matches_oracle_doubled_cycle_256(self):
+        # Two Hamilton cycles and two digon factors: E = (1 + 128) / 2.
+        # The sweep's largest failing multiple, 2 n d ceil(log2 n) steps,
+        # failed only on doubled cycles of 128 and 256 vertices; here the
+        # mean is then about 10 SE high at 2,000 draws, so a default cut
+        # that far fails with these 600.
+        g = double_undirected(gen_family("cycle", 256, 2))
+        sampler = MCMCFactorSampler(g, SamplerConfig().resolve_steps(g))
+        rng = random.Random(256)
+        draws = 600
+        obs = [sampler.sample(rng).num_cycles for _ in range(draws)]
+        se = statistics.stdev(obs) / math.sqrt(draws)
+        assert abs(statistics.fmean(obs) - 64.5) <= 4 * se
+
+    @pytest.mark.parametrize("g", [directed_cycle(1), complete_loops(2)], ids=["n1", "n2"])
+    def test_default_budget_positive_at_small_n(self, g):
+        # ceil(log2 n) is 0 at n = 1; the default still runs the chain.
+        cfg = SamplerConfig(backend="mcmc")
+        assert cfg.resolve_steps(g) == 20 * g.n * g.d
+        result = min_cycle_factor(g, cfg)
+        assert result.factor.is_factor_of(g)
+
     def test_bad_step_budget(self):
         with pytest.raises(BadParameters):
             MCMCFactorSampler(complete_loops(3), 0)
@@ -245,9 +280,10 @@ class TestMCMCDrawsPinned:
         assert exhausted == self.EXHAUSTED_AT_1[name]
 
     def test_min_cycle_factor_default_budget(self):
+        # The default at n = 12 is 20 n d ceil(log2 n) = 960 d steps.
         g = gen_random_regular_digraph(12, 3, 1)
         result = min_cycle_factor(g, SamplerConfig(seed=3, backend="mcmc"))
-        assert result.cycle_counts == (4, 3, 3, 2, 3, 5, 2, 3, 4, 2, 3, 2, 1, 1, 4)
+        assert result.cycle_counts == (3, 4, 2, 3, 2, 1, 1, 2, 1, 2, 2, 3, 4, 4, 3)
 
     def test_min_cycle_factor_explicit_budget(self):
         # An explicit budget, here the former default 50 n^2 d, is the one

@@ -110,6 +110,16 @@ class TestPathFactor:
         with pytest.raises(BadParameters, match="out of range"):
             to_path_factor(cycles, c4)
 
+    def test_vertex_in_two_cycles_rejected(self):
+        c4 = gen_family("cycle", 4, 2)
+        with pytest.raises(BadParameters, match="^vertex 1 appears in two cycles$"):
+            to_path_factor(((0, 1), (1, 2, 3)), c4)
+
+    def test_incomplete_cover_rejected(self):
+        c4 = gen_family("cycle", 4, 2)
+        with pytest.raises(BadParameters, match="^cycles do not cover every vertex$"):
+            to_path_factor(((0, 1),), c4)
+
 
 class TestTour:
     def test_hamilton_cycle_gives_length_n(self):
@@ -158,7 +168,7 @@ class TestTour:
 
     def test_incomplete_cover_rejected(self):
         c4 = gen_family("cycle", 4, 2)
-        with pytest.raises(BadParameters):
+        with pytest.raises(BadParameters, match="^cycles do not cover every vertex$"):
             to_tour(((0, 1),), c4)
 
     def test_vertex_in_two_cycles_rejected(self):
