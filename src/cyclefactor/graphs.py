@@ -216,16 +216,27 @@ def gen_random_regular_digraph(
     (a -> b, c -> e) become (a -> e, c -> b) unless that creates a
     parallel arc or a forbidden loop or digon. Deterministic given seed.
 
+    Each proposal's arc pair is drawn as CPython 3.11's
+    ``rng.randrange(m * m)`` draws it (``Random._randbelow_with_getrandbits``):
+    ``getrandbits(k)`` with k = (m * m).bit_length(), drawn again while it
+    is >= m * m. The draw is inlined for speed, so a seed's graph is the
+    same as with ``randrange``; ``test_graphs`` checks it against the
+    reference loop in ``tests/switch_chain.py``.
+
     Uniformity is claimed only with loops allowed, or with loops forbidden
     and digons allowed, where the chain is irreducible (Kannan, Tetali and
     Vempala 1999; Greenhill 2011). With ``allow_digons=False`` it is not:
     the start graph of (6, 2) or (7, 2) without loops never moves, so that
     output is a random relabelled instance, not claimed uniform.
 
-    Raises BadParameters when no digraph meets the constraints (d outside
-    1..n; no loops with d = n; no digons with 2(d-1) > n-1, or 2d > n-1
-    without loops), which is exactly when no circulant start exists.
+    Raises BadParameters for a negative seed, which ``random.Random``
+    would take as its absolute value, and when no digraph meets the
+    constraints (d outside 1..n; no loops with d = n; no digons with
+    2(d-1) > n-1, or 2d > n-1 without loops), which is exactly when no
+    circulant start exists.
     """
+    if seed < 0:
+        raise BadParameters(f"need seed >= 0, got seed={seed}")
     if not 1 <= d <= n:
         raise BadParameters(f"need 1 <= d <= n, got d={d}, n={n}")
     if not allow_loops and d == n:
@@ -245,29 +256,46 @@ def gen_random_regular_digraph(
     heads = [label[(i + c) % n] for c in range(first, first + d) for i in range(n)]
     arcs = {t * n + h for t, h in zip(tails, heads)}
     m = n * d
-    pick, pairs = rng.randrange, m * m
+    pairs = m * m
+    bits, k = rng.getrandbits, pairs.bit_length()
+    add, remove = arcs.add, arcs.remove
+    free = allow_loops and allow_digons
     for _ in range(math.ceil(m * math.log(m)) + 1000):
-        i, j = divmod(pick(pairs), m)
-        a, b, c, e = tails[i], heads[i], tails[j], heads[j]
-        if a == c or b == e:
+        r = bits(k)
+        while r >= pairs:
+            r = bits(k)
+        i, j = divmod(r, m)
+        # The rejections are pure tests, so their order changes no outcome:
+        # the cheapest come first.
+        a = tails[i]
+        c = tails[j]
+        if a == c:
+            continue
+        b = heads[i]
+        e = heads[j]
+        if b == e:
             continue
         ae = a * n + e
+        if ae in arcs:
+            continue
         cb = c * n + b
-        if ae in arcs or cb in arcs:
+        if cb in arcs:
             continue
-        if not allow_loops and (a == e or c == b):
-            continue
-        if not allow_digons and (
-            (a != e and e * n + a in arcs)
-            or (c != b and b * n + c in arcs)
-            or (a == b and c == e)  # two loops become a digon a -> c -> a
-        ):
-            continue
-        arcs.remove(a * n + b)
-        arcs.remove(c * n + e)
-        arcs.add(ae)
-        arcs.add(cb)
-        heads[i], heads[j] = e, b
+        if not free:
+            if not allow_loops and (a == e or c == b):
+                continue
+            if not allow_digons and (
+                (a != e and e * n + a in arcs)
+                or (c != b and b * n + c in arcs)
+                or (a == b and c == e)  # two loops become a digon a -> c -> a
+            ):
+                continue
+        remove(a * n + b)
+        remove(c * n + e)
+        add(ae)
+        add(cb)
+        heads[i] = e
+        heads[j] = b
     out: list[list[int]] = [[] for _ in range(n)]
     for t, h in zip(tails, heads):
         out[t].append(h)

@@ -311,6 +311,10 @@ ERROR_CASES = [
     pytest.param(
         ["gen", "random", "--n", 6, "--d", 2, "--out", "{tmp}/x"],
         2, "gen random requires --seed", id="gen-random-without-seed"),
+    # random.Random(-7) would seed with 7 and give that seed's graph.
+    pytest.param(
+        ["gen", "random", "--n", 20, "--d", 3, "--seed", -7, "--out", "{tmp}/x"],
+        2, "need seed >= 0, got seed=-7", id="gen-random-negative-seed"),
     pytest.param(
         ["gen", "complete_loops", "--n", 4, "--d", 4, "--no-loops", "--out", "{tmp}/x"],
         2, "--no-loops and --no-digons apply only to gen random", id="gen-family-with-no-loops"),
@@ -562,6 +566,19 @@ class TestBench:
         assert code == 2
         assert json.loads(err)["partial_failures"][0]["error"] == (
             "clique_union needs d >= 1, got d=-1")
+        assert len(out.read_text().splitlines()) == 1
+
+    def test_negative_seed_random_is_partial_failure(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "config": {"samples": 2},
+            "instances": [{"family": "random", "n": 8, "d": 3, "seed": -1},
+                          {"family": "cycle", "n": 6, "d": 2}],
+        }))
+        out = tmp_path / "r.ndjson"
+        code, _, err = run(capsys, "bench", manifest, "--out", out)
+        assert code == 2
+        assert json.loads(err)["partial_failures"][0]["error"] == "need seed >= 0, got seed=-1"
         assert len(out.read_text().splitlines()) == 1
 
     def test_not_utf8_graph_is_partial_failure(self, tmp_path, capsys):

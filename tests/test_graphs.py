@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -20,6 +21,7 @@ from cyclefactor.graphs import (
     write_graph,
 )
 from cyclefactor.sampling import MCMCFactorSampler
+from switch_chain import switch_chain
 
 
 def complete_loops(n):
@@ -252,6 +254,38 @@ class TestRandomGenerator:
             for seed in range(20)
         }
         assert len(outs) > 1
+
+    # (n, d, allow_loops, allow_digons): n = 1, d = n, each flag and both,
+    # the frozen starts (6, 2) and (7, 2), the tightest no-digon sizes, and
+    # d up to 6.
+    STREAM_CASES = [
+        (1, 1, True, True), (1, 1, True, False), (4, 4, True, True), (5, 5, True, True),
+        (5, 4, False, True), (8, 2, False, True), (7, 3, True, False), (9, 4, True, False),
+        (6, 2, False, False), (7, 2, False, False), (11, 5, False, False),
+        (13, 6, False, False), (10, 6, True, True), (40, 6, False, True), (30, 5, True, False),
+        (200, 3, True, True),
+    ]
+
+    @pytest.mark.parametrize("n,d,loops,digons", STREAM_CASES)
+    def test_same_stream_as_randrange_chain(self, n, d, loops, digons):
+        for seed in (0, 1, 2, 2**64 + 3):
+            assert gen_random_regular_digraph(n, d, seed, loops, digons) == switch_chain(
+                n, d, seed, loops, digons
+            ), seed
+
+    def test_same_stream_as_randrange_chain_large(self):
+        assert gen_random_regular_digraph(20000, 2, 1) == switch_chain(20000, 2, 1)
+
+    @pytest.mark.parametrize("n,d,seed,loops,digons,sha256", [
+        (20, 3, 7, True, True, "a71735977b1d15a527cd0f8b090f62ecc92ebf4352b0a7c2ae57d22e3df259ec"),
+        (300, 4, 1, False, True, "18f1c1d55f2babf530de5bc3ffcb10f7a4c4b226db4097968fa6c73cc405e63f"),
+        (500, 3, 2, False, False, "09a5189df02ffd0a990d8ba7aed397202e691f068f51a03eb48c1b768cd0f709"),
+    ])
+    def test_pinned_graph_bytes(self, n, d, seed, loops, digons, sha256):
+        # Pinned when the arc pairs were drawn by randrange: a change of
+        # random stream changes these files.
+        text = graph_to_text(gen_random_regular_digraph(n, d, seed, loops, digons))
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 class TestFamilies:

@@ -5,7 +5,8 @@ Writes the four perfbench workloads' instances (20-second untimed rounds at
 ``cyclefactor.cli.main`` under OLD_SRC and NEW_SRC, each in its own process,
 and prints the ops whose exit code, stdout, stderr or ``--out`` bytes differ.
 Where the ``--out`` bytes differ and both parse as JSON, it also prints each
-differing leaf as ``path: old -> new``.
+differing leaf as ``path: old -> new``. It ends with one ``W: x of y ops
+differ`` line per workload W, then the total over all of them.
 
     python tools/same_outputs.py OLD_SRC NEW_SRC [--seed 1]
 """
@@ -80,7 +81,7 @@ def main() -> int:
     p.add_argument("new_src")
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args()
-    labels, ops = [], []
+    labels, ops, op_workload = [], [], []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for w, schedule in workloads.SCHEDULES.items():
@@ -92,6 +93,7 @@ def main() -> int:
                     seed = workloads.op_seed(args.seed, rnd, slot)
                     ops.append(workloads.op_argv(spec, instances[rnd][slot], seed, "{out}"))
                     labels.append(f"{w} round {rnd} slot {slot} ({spec['cmd']})")
+                    op_workload.append(w)
         (work / "ops.json").write_text(json.dumps(ops), encoding="utf-8")
         old, new = (run_tree(src, work, work / tag) for src, tag in ((args.old_src, "old"), (args.new_src, "new")))
         differ = [(i, a, b) for i, (a, b) in enumerate(zip(old, new)) if a != b]
@@ -102,6 +104,9 @@ def main() -> int:
                 if before is not None and after is not None:
                     for line in leaf_diffs(before, after):
                         print("    " + line)
+    for w in workloads.SCHEDULES:
+        differ_w = sum(op_workload[i] == w for i, _, _ in differ)
+        print(f"{w}: {differ_w} of {op_workload.count(w)} ops differ")
     print(f"{len(differ)} of {len(ops)} ops differ")
     return 1 if differ else 0
 
