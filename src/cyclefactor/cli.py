@@ -33,14 +33,7 @@ from .graphs import (
     read_graph,
 )
 from .sampling import MinFactorResult, SamplerConfig, min_cycle_factor
-from .transforms import (
-    PathFactor,
-    Tour,
-    to_path_factor,
-    to_tour,
-    verify_path_factor,
-    verify_tour,
-)
+from .transforms import to_path_factor, to_tour, verify_path_factor, verify_tour
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -83,22 +76,29 @@ def _load_graph(path: str):
         raise BadParameters(f"bad graph file {path}: {e}") from None
 
 
-def _path_factor(cycles, g: UndirectedRegularGraph) -> PathFactor:
-    """The path-factor of an undirected cycle decomposition, re-validated."""
-    pf = to_path_factor(cycles, g)
-    check = verify_path_factor(pf, g)
+def _checked(obj, verify, g, what: str):
+    """obj, once ``verify(obj, g)`` passes; else the failed re-validation
+    of the construction named what."""
+    check = verify(obj, g)
     if not check.ok:
-        raise BadParameters(f"path-factor failed re-validation: {check.violations}")
-    return pf
+        raise BadParameters(f"{what} failed re-validation: {check.violations}")
+    return obj
 
 
-def _tour(cycles, g: UndirectedRegularGraph) -> Tour:
-    """The tour of an undirected cycle decomposition, re-validated."""
-    tour = to_tour(cycles, g)
-    check = verify_tour(tour, g)
-    if not check.ok:
-        raise BadParameters(f"tour failed re-validation: {check.violations}")
-    return tour
+def _path_fields(g: UndirectedRegularGraph, cycles) -> dict:
+    """The fields of the path-factor patched from g's cycles, re-validated."""
+    pf = _checked(to_path_factor(cycles, g), verify_path_factor, g, "path-factor")
+    return {"paths": [list(p) for p in pf.paths], "path_count": pf.num_paths}
+
+
+def _tour_fields(g: UndirectedRegularGraph, cycles) -> dict:
+    """The fields of the tour patched from g's cycles, re-validated."""
+    tour = _checked(to_tour(cycles, g), verify_tour, g, "tour")
+    return {
+        "walk": list(tour.walk),
+        "length": tour.length,
+        "length_bound": g.n + 2 * (len(cycles) - 1),
+    }
 
 
 def _min_factor(g: RegularDigraph, cfg: SamplerConfig) -> MinFactorResult:
@@ -109,21 +109,22 @@ def _min_factor(g: RegularDigraph, cfg: SamplerConfig) -> MinFactorResult:
     return result
 
 
-def cmd_gen(args) -> int:
-    if args.family == "random":
-        if args.seed is None:
+def _generate(family: str, n: int, d: int, seed, no_loops: bool = False, no_digons: bool = False):
+    """The one instance recipe, of ``gen`` and of a bench manifest: a
+    random digraph from seed, else the named family."""
+    if family == "random":
+        if seed is None:
             raise BadParameters("gen random requires --seed")
-        g = gen_random_regular_digraph(
-            args.n,
-            args.d,
-            args.seed,
-            allow_loops=not args.no_loops,
-            allow_digons=not args.no_digons,
+        return gen_random_regular_digraph(
+            n, d, seed, allow_loops=not no_loops, allow_digons=not no_digons
         )
-    elif args.no_loops or args.no_digons:
+    if no_loops or no_digons:
         raise BadParameters("--no-loops and --no-digons apply only to gen random")
-    else:
-        g = gen_family(args.family, args.n, args.d)
+    return gen_family(family, n, d)
+
+
+def cmd_gen(args) -> int:
+    g = _generate(args.family, args.n, args.d, args.seed, args.no_loops, args.no_digons)
     _write(graph_to_text(g), args.out)
     return EXIT_OK
 
@@ -161,10 +162,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r[3] for r in rows) else EXIT_INVALID
 
 
-def _factor_payload(g: RegularDigraph, args) -> tuple[dict, object]:
-    """Run min-of-k and return the fields every sampling command reports,
-    with its best factor. An undirected g is sampled as the doubled digraph
-    whose rows it stores, and its instance hashed as that digraph."""
+def cmd_sample(args) -> int:
+    """Sample a cycle-factor with few cycles and report it, with the fields
+    of the construction, if any, that the subcommand binds: ``fields``
+    patches the factor's cycles into it, ``construction`` names it. An
+    undirected g is sampled as the doubled digraph whose rows it stores,
+    and its instance hashed as that digraph."""
+    g = _load_graph(args.path)
+    if args.fields is not None and not isinstance(g, UndirectedRegularGraph):
+        raise BadParameters(f"{args.construction} construction needs an undirected graph")
     cfg = SamplerConfig(
         backend=args.backend,
         mcmc_steps=args.mcmc_steps,
@@ -183,44 +189,8 @@ def _factor_payload(g: RegularDigraph, args) -> tuple[dict, object]:
         "sigma": list(result.factor.sigma),
         "cycles": [list(c) for c in result.factor.cycles],
     }
-    return payload, result.factor
-
-
-def cmd_cyclefactor(args) -> int:
-    g = _load_graph(args.path)
-    payload, _ = _factor_payload(g, args)
-    _emit(payload, args.out)
-    return EXIT_OK
-
-
-def _undirected_cycles(args, construction: str):
-    """Load an undirected graph, sample it and return (graph, payload,
-    undirected cycle decomposition)."""
-    g = _load_graph(args.path)
-    if not isinstance(g, UndirectedRegularGraph):
-        raise BadParameters(f"{construction} construction needs an undirected graph")
-    payload, factor = _factor_payload(g, args)
-    return g, payload, factor.cycles
-
-
-def cmd_pathfactor(args) -> int:
-    g, payload, cycles = _undirected_cycles(args, "path-factor")
-    pf = _path_factor(cycles, g)
-    payload.update({"paths": [list(p) for p in pf.paths], "path_count": pf.num_paths})
-    _emit(payload, args.out)
-    return EXIT_OK
-
-
-def cmd_tour(args) -> int:
-    g, payload, cycles = _undirected_cycles(args, "tour")
-    tour = _tour(cycles, g)
-    payload.update(
-        {
-            "walk": list(tour.walk),
-            "length": tour.length,
-            "length_bound": g.n + 2 * (len(cycles) - 1),
-        }
-    )
+    if args.fields is not None:
+        payload.update(args.fields(g, result.factor.cycles))
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -240,10 +210,7 @@ def _bench_instance(desc) -> tuple[str, object]:
         not_int = [k for k in need[1:] if type(desc[k]) is not int]
         if not_int:
             raise BadParameters(f"manifest instance {', '.join(not_int)} not an integer")
-        if desc["family"] == "random":
-            g = gen_random_regular_digraph(desc["n"], desc["d"], desc["seed"])
-        else:
-            g = gen_family(desc["family"], desc["n"], desc["d"])
+        g = _generate(desc["family"], desc["n"], desc["d"], desc.get("seed"))
     return instance_hash(g), g
 
 
@@ -257,9 +224,9 @@ def _bench_outputs(g, cfg: SamplerConfig, oracle_max_n: int) -> dict:
     outputs["backend"] = result.backend
     if isinstance(g, UndirectedRegularGraph):
         cycles = result.factor.cycles
-        outputs["path_count"] = _path_factor(cycles, g).num_paths
+        outputs["path_count"] = _path_fields(g, cycles)["path_count"]
         if g.is_connected():
-            outputs["tour_length"] = _tour(cycles, g).length
+            outputs["tour_length"] = _tour_fields(g, cycles)["length"]
     return outputs
 
 
@@ -372,13 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_sampler_flags(p):
-        p.add_argument("--seed", type=int, required=True, help="64-bit RNG seed")
-        p.add_argument("--backend", choices=("exact", "mcmc", "auto"), default="auto")
-        p.add_argument("--samples", type=int, default=None, help="number of independent draws")
-        p.add_argument("--mcmc-steps", type=int, default=None, help="chain burn-in budget (default 20 n d ceil(log2 n))")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-
     p = sub.add_parser("gen", help="generate a graph file")
     p.add_argument("family", choices=FAMILIES + ("random",))
     p.add_argument("--n", type=int, required=True)
@@ -395,20 +355,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("cyclefactor", help="sample a cycle-factor with few cycles")
-    p.add_argument("path")
-    add_sampler_flags(p)
-    p.set_defaults(func=cmd_cyclefactor)
-
-    p = sub.add_parser("pathfactor", help="construct a path-factor of an undirected graph")
-    p.add_argument("path")
-    add_sampler_flags(p)
-    p.set_defaults(func=cmd_pathfactor)
-
-    p = sub.add_parser("tour", help="construct a short tour of a connected graph")
-    p.add_argument("path")
-    add_sampler_flags(p)
-    p.set_defaults(func=cmd_tour)
+    # The sampling subcommands differ only in the construction they bind.
+    for name, help_text, construction, fields in (
+        ("cyclefactor", "sample a cycle-factor with few cycles", None, None),
+        ("pathfactor", "construct a path-factor of an undirected graph", "path-factor", _path_fields),
+        ("tour", "construct a short tour of a connected graph", "tour", _tour_fields),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("path")
+        p.add_argument("--seed", type=int, required=True, help="64-bit RNG seed")
+        p.add_argument("--backend", choices=("exact", "mcmc", "auto"), default="auto")
+        p.add_argument("--samples", type=int, default=None, help="number of independent draws")
+        p.add_argument("--mcmc-steps", type=int, default=None, help="chain burn-in budget (default 20 n d ceil(log2 n))")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.set_defaults(func=cmd_sample, construction=construction, fields=fields)
 
     p = sub.add_parser("bench", help="run a benchmark manifest")
     p.add_argument("manifest")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeLimitExceeded
-from .graphs import RegularDigraph
+from .graphs import RegularDigraph, in_rows
 
 __all__ = [
     "MAX_STATES",
@@ -99,10 +99,7 @@ def _frontier_order(out_adj) -> list[int]:
     each row is taken once. O(n d log n).
     """
     n = len(out_adj)
-    in_adj: list[list[int]] = [[] for _ in range(n)]
-    for r, row in enumerate(out_adj):
-        for c in row:
-            in_adj[c].append(r)
+    in_adj = in_rows(out_adj)
     score = [0] * n
     pushed = [False] * n
     touched = [False] * n
@@ -201,12 +198,8 @@ def cycle_law(g: RegularDigraph) -> dict[int, int]:
     n, d = g.n, g.d
     out_adj = g.out_adj
     out_mask = [sum(1 << v for v in row) for row in out_adj]
-    in_mask = [0] * n
-    in_adj: list[list[int]] = [[] for _ in range(n)]
-    for r, row in enumerate(out_adj):
-        for c in row:
-            in_mask[c] |= 1 << r
-            in_adj[c].append(r)
+    in_adj = in_rows(out_adj)
+    in_mask = [sum(1 << r for r in col) for col in in_adj]
     full = (1 << n) - 1
     # A state's value is the polynomial sum of ways_c * x^c at x = 2^b, where
     # ways_c partial factors reaching it have closed c cycles. At most d^n

@@ -25,6 +25,7 @@ __all__ = [
     "CycleFactor",
     "require_valid",
     "to_bipartite",
+    "in_rows",
     "double_undirected",
     "gen_random_regular_digraph",
     "gen_family",
@@ -192,6 +193,17 @@ def to_bipartite(g: RegularDigraph) -> tuple[tuple[int, ...], ...]:
     V-side vertex v exactly when (u, v) is an arc of g, so they are
     ``g.out_adj`` itself."""
     return g.out_adj
+
+
+def in_rows(out_adj) -> list[list[int]]:
+    """The transpose of ``out_adj``: entry c lists the rows r with c in
+    ``out_adj[r]``. Rows are appended in increasing order, so each entry
+    is strictly increasing, which the MCMC overlap skip relies on."""
+    in_adj: list[list[int]] = [[] for _ in range(len(out_adj))]
+    for r, row in enumerate(out_adj):
+        for c in row:
+            in_adj[c].append(r)
+    return in_adj
 
 
 def double_undirected(g: UndirectedRegularGraph) -> RegularDigraph:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import BadParameters, SizeLimitExceeded, StepBudgetExhausted
 from .exact import MAX_STATES, completion_levels
-from .graphs import CycleFactor, RegularDigraph
+from .graphs import CycleFactor, RegularDigraph, in_rows
 
 __all__ = [
     "EXACT_MAX_N",
@@ -87,6 +87,9 @@ class SamplerConfig:
             raise BadParameters("mcmc_steps must be positive")
         if self.num_samples is not None and self.num_samples < 1:
             raise BadParameters("num_samples must be positive")
+        # derive_seed reduces mod 2^64, so a seed outside would replay another.
+        if not 0 <= self.seed <= _MASK64:
+            raise BadParameters(f"need 0 <= seed < 2**64, got seed={self.seed}")
 
     def resolve_backend(self, n: int) -> str:
         if self.backend == "auto":
@@ -250,12 +253,7 @@ class MCMCFactorSampler:
         self.steps = steps
         # The auxiliary bipartite graph: row u joins the columns g.out_adj[u].
         self._adj = g.out_adj
-        # Column rows; appending u in increasing order leaves each sorted.
-        in_adj: list[list[int]] = [[] for _ in range(g.n)]
-        for u, row in enumerate(g.out_adj):
-            for v in row:
-                in_adj[v].append(u)
-        self._in_adj = in_adj
+        self._in_adj = in_rows(g.out_adj)
         self._out_sets = [set(row) for row in g.out_adj]
         # g is d-regular with d >= 1, so by König's theorem this is perfect.
         self._init_match = hopcroft_karp(g.out_adj)
@@ -336,7 +334,7 @@ class MCMCFactorSampler:
                 else:
                     in_row = in_adj[hole_v]
                     k -= d
-                    # Rows are sorted and distinct: skip hole_u, counted above.
+                    # in_rows entries are sorted and distinct: skip hole_u.
                     if overlap and in_row[k] >= hole_u:
                         k += 1
                     u2 = in_row[k]

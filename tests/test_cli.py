@@ -370,6 +370,13 @@ ERROR_CASES = [
     pytest.param(
         ["cyclefactor", "{tmp}/k4.digraph", "--seed", 1, "--mcmc-steps", 0],
         2, "mcmc_steps must be positive", id="mcmc-steps-zero-on-exact-backend"),
+    # derive_seed reduces mod 2^64: -1 would replay 2^64 - 1's draws.
+    pytest.param(
+        ["cyclefactor", "{tmp}/k4.digraph", "--seed", -1],
+        2, "need 0 <= seed < 2**64, got seed=-1", id="cyclefactor-negative-seed"),
+    pytest.param(
+        ["pathfactor", "{tmp}/cliques.graph", "--seed", 2**64],
+        2, "need 0 <= seed < 2**64, got seed=18446744073709551616", id="pathfactor-seed-2-to-the-64"),
     pytest.param(
         ["bench", "{tmp}/none.json", "--out", "{tmp}/r.ndjson"],
         4, "cannot read manifest: " + _NO_FILE + "none.json'", id="manifest-unreadable"),
@@ -651,6 +658,7 @@ class TestBench:
         pytest.param({"mcmc_steps": 0}, "mcmc_steps must be positive", id="mcmc_steps"),
         pytest.param({"samples": 0}, "num_samples must be positive", id="samples"),
         pytest.param({"backend": "bogus"}, "unknown backend 'bogus'", id="backend"),
+        pytest.param({"seed": -5}, "need 0 <= seed < 2**64, got seed=-5", id="seed"),
     ])
     def test_config_value_out_of_range(self, tmp_path, capsys, config, message):
         manifest = {"config": config, "instances": [{"family": "cycle", "n": 6, "d": 2}]}
@@ -701,3 +709,18 @@ class TestBench:
         assert json.loads(err)["partial_failures"][0] == {
             "instance": 5, "error": "manifest instance is not an object"}
         assert len(out.read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize("desc", [
+        {"family": "random", "n": 12, "d": 3, "seed": 5},
+        {"family": "clique_union", "n": 8, "d": 3},
+    ], ids=lambda desc: desc["family"])
+    def test_instance_hash_matches_gen(self, tmp_path, capsys, desc):
+        # gen and bench build an instance from the same recipe.
+        graph = tmp_path / "g"
+        argv = ["gen", desc["family"], "--n", desc["n"], "--d", desc["d"], "--out", graph]
+        code, _, _ = run(capsys, *argv, *(["--seed", desc["seed"]] if "seed" in desc else []))
+        assert code == 0
+        code, _, out = self.bench_raw(tmp_path, capsys, {"config": {"samples": 2}, "instances": [desc]})
+        assert code == 0
+        (rec,) = [json.loads(line) for line in out.read_text().splitlines()]
+        assert rec["instance_hash"] == cli.instance_hash(read_graph(graph))

@@ -15,12 +15,12 @@ from cyclefactor.graphs import (
     gen_family,
     gen_random_regular_digraph,
     graph_to_text,
+    in_rows,
     parse_graph,
     read_graph,
     to_bipartite,
     write_graph,
 )
-from cyclefactor.sampling import MCMCFactorSampler
 from switch_chain import switch_chain
 
 
@@ -133,10 +133,17 @@ class TestToBipartite:
         assert h == ((1,), (2,), (0,))
 
     def test_in_adj_is_transpose(self):
-        g = gen_random_regular_digraph(6, 2, 3)
-        h = to_bipartite(g)
-        rev = MCMCFactorSampler(g, 1)._in_adj
-        assert all(u in rev[v] for u, row in enumerate(h) for v in row)
+        for g in (
+            gen_random_regular_digraph(6, 2, 3),
+            gen_random_regular_digraph(30, 4, 1, allow_loops=False),
+            complete_loops(3),
+            gen_family("cycle", 7, 2),
+            gen_family("clique_union", 8, 3),
+            gen_family("complete_bipartite_like", 12, 3),
+        ):
+            rev = in_rows(g.out_adj)
+            assert rev == [[u for u in range(g.n) if v in g.out_adj[u]] for v in range(g.n)]
+            assert all(a < b for row in rev for a, b in zip(row, row[1:]))
 
 
 class TestDoubleUndirected:
