@@ -13,6 +13,7 @@ JSON apart from wall-clock fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -177,6 +178,9 @@ def cmd_sample(args) -> int:
         num_samples=args.samples,
         seed=args.seed,
     )
+    # Refused here, before min-of-k spends any time sampling.
+    if args.construction == "tour" and not g.is_connected():
+        raise BadParameters("tour construction needs a connected graph")
     result = _min_factor(g, cfg)
     payload = {
         "instance_hash": instance_hash(g, as_digraph=True),
@@ -332,7 +336,12 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one: its arguments take ~1.7 ms to add, each through a help
+    formatter that asks for the terminal size. Parsing reads it and never
+    changes it, so one ``main`` call does not leak into the next."""
     parser = argparse.ArgumentParser(
         prog="cyclefactor",
         description="Cycle-factors with few cycles: generators, exact verification, samplers, path-factors, and tours.",

@@ -166,7 +166,11 @@ def require_valid(g) -> None:
             if deg != d:
                 raise GraphError(f"vertex {v} has in-degree {deg}, expected {d}")
         return
-    # Symmetric rows of length d give every vertex in-degree d.
+    # Symmetric rows of length d give every vertex in-degree d. Sorted
+    # rows are symmetric exactly when they equal their transpose; only
+    # when they do not is the first missing reverse edge looked for.
+    if list(map(list, rows)) == in_rows(rows):
+        return
     for u, row in enumerate(rows):
         for v in row:
             back = rows[v]
@@ -366,7 +370,7 @@ def graph_to_text(g: RegularDigraph) -> str:
     """Serialize a graph to the canonical text format."""
     kind = "graph" if isinstance(g, UndirectedRegularGraph) else "digraph"
     lines = [f"{kind} {g.n} {g.d}"]
-    lines.extend(" ".join(str(v) for v in row) for row in g.out_adj)
+    lines.extend(" ".join(map(str, row)) for row in g.out_adj)
     return "\n".join(lines) + "\n"
 
 
@@ -400,14 +404,14 @@ def parse_graph(text: str):
     rows = []
     for lineno, line in lines[1:]:
         try:
-            row = [int(tok) for tok in line.split()]
+            row = tuple(sorted(map(int, line.split())))
         except ValueError:
             raise ParseError(lineno, f"non-integer vertex in {line!r}") from None
         if len(row) != d:
             raise ParseError(lineno, f"expected {d} neighbours, found {len(row)}")
         rows.append(row)
     cls = RegularDigraph if parts[0] == "digraph" else UndirectedRegularGraph
-    return cls.from_lists(n, d, rows)
+    return cls(n, d, tuple(rows))
 
 
 def read_graph(path):

@@ -117,10 +117,10 @@ def to_tour(cycles: tuple[tuple[int, ...], ...], g: UndirectedRegularGraph) -> T
     contraction (rooted at the cycle containing vertex 0, neighbours in
     vertex order) decides where to detour from a parent cycle into each
     child cycle and back. The walk traverses every cycle once and every
-    tree edge twice, so its length is at most n + 2(c - 1).
+    tree edge twice, so its length is at most n + 2(c - 1). The BFS is the
+    connectivity check: when the cycles are cycles of g, it reaches every
+    one of them exactly when g is connected.
     """
-    if not g.is_connected():
-        raise BadParameters("tour construction needs a connected graph")
     cyc_of = _cycle_index(cycles, g.n)
     c = len(cycles)
 
@@ -142,6 +142,8 @@ def to_tour(cycles: tuple[tuple[int, ...], ...], g: UndirectedRegularGraph) -> T
                     visited[cj] = True
                     parent_link[cj] = (u, v)
                     queue.append(cj)
+    if not all(visited):
+        raise BadParameters("tour construction needs a connected graph")
 
     # detours[cycle][vertex] = child cycles entered at that vertex
     detours: list[dict[int, list[int]]] = [dict() for _ in range(c)]

@@ -18,7 +18,7 @@ from cyclefactor.graphs import (
     to_bipartite,
     write_graph,
 )
-from cyclefactor.sampling import hopcroft_karp
+from cyclefactor.sampling import SamplerConfig, hopcroft_karp
 from cyclefactor.transforms import CheckReport
 
 
@@ -242,6 +242,16 @@ class TestFactorCommands:
         code, _, _ = run(capsys, "tour", path, "--seed", 2)
         assert code == 2
 
+    def test_tour_refuses_disconnected_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("min_cycle_factor called")
+
+        monkeypatch.setattr(cli, "min_cycle_factor", no_sampling)
+        path = tmp_path / "g.graph"
+        write_graph(gen_family("clique_union", 8, 3), path)
+        got = run(capsys, "tour", path, "--seed", 2)
+        assert got == (2, "", "tour construction needs a connected graph\n")
+
     @pytest.mark.parametrize("cmd", ["cyclefactor", "tour", "pathfactor"])
     def test_undirected_hashed_as_its_digraph(self, tmp_path, capsys, cmd):
         g = gen_family("cycle", 10, 2)
@@ -269,6 +279,34 @@ def _subcommands() -> set:
 
 def test_subcommands():
     assert _subcommands() == {"gen", "verify", "cyclefactor", "pathfactor", "tour", "bench"}
+
+
+class TestSharedParser:
+    """``main`` parses every call with one parser, built on first use."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_option_does_not_leak_into_next_call(self, tmp_path, capsys):
+        g = gen_family("cycle", 10, 2)
+        path = tmp_path / "g.graph"
+        write_graph(g, path)
+        _, out, _ = run(capsys, "cyclefactor", path, "--seed", 1, "--samples", 3)
+        assert len(json.loads(out)["cycle_counts"]) == 3
+        _, out, _ = run(capsys, "cyclefactor", path, "--seed", 1)
+        assert len(json.loads(out)["cycle_counts"]) == SamplerConfig().resolve_num_samples(g.n)
+
+    def test_usage_error_does_not_change_next_call(self, tmp_path, capsys):
+        path = tmp_path / "g.graph"
+        write_graph(gen_family("cycle", 10, 2), path)
+        argv = ("tour", path, "--seed", 4, "--samples", 2)
+        cli.build_parser.cache_clear()  # a fresh parser, as in a new process
+        alone = run(capsys, *argv)
+        with pytest.raises(SystemExit) as e:
+            main(["tour", str(path)])  # no --seed
+        assert e.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert run(capsys, *argv) == alone
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from bisect import bisect_left
 from collections import Counter
 
 import pytest
@@ -46,6 +47,35 @@ def all_regular_digraphs(n, d, loops):
 
     extend([], [0] * n)
     return found
+
+
+def shuffled_circulant(n, d, rng):
+    """The neighbour sets of a random relabelling of the d-regular
+    circulant on n vertices (n even, n > d): offsets +-1..+-(d // 2),
+    and n / 2 when d is odd."""
+    label = list(range(n))
+    rng.shuffle(label)
+    offsets = list(range(1, d // 2 + 1)) + list(range(n - d // 2, n))
+    if d % 2:
+        offsets.append(n // 2)
+    adj = [set() for _ in range(n)]
+    for i in range(n):
+        for c in offsets:
+            adj[label[i]].add(label[(i + c) % n])
+    return adj
+
+
+def reference_asymmetry(rows):
+    """The message of the first missing reverse edge in row order, by a
+    bisect over each reverse row: the scan ``require_valid`` used alone
+    before it compared the rows with their transpose."""
+    for u, row in enumerate(rows):
+        for v in row:
+            back = rows[v]
+            k = bisect_left(back, u)
+            if k == len(back) or back[k] != u:
+                return f"edge ({u}, {v}) present but ({v}, {u}) missing"
+    return None
 
 
 class TestValidateDigraph:
@@ -116,6 +146,24 @@ class TestValidateUndirected:
     def test_unsorted_row_rejected(self):
         with pytest.raises(GraphError, match="^row 0 is not strictly increasing$"):
             UndirectedRegularGraph(4, 2, ((3, 1), (0, 2), (1, 3), (0, 2)))
+
+    def test_asymmetry_message_matches_reference_scan(self):
+        # Each graph loses the reverse of one edge (v, u): row v trades u for
+        # a non-neighbour w, so every row stays sorted, loop-free and of
+        # length d, and only the symmetry check can fail.
+        rng = random.Random(27)
+        for _ in range(300):
+            d = rng.randint(1, 5)
+            n = 2 * rng.randint(d + 1, 12)
+            rows = [sorted(r) for r in shuffled_circulant(n, d, rng)]
+            v = rng.randrange(n)
+            u = rng.choice(rows[v])
+            w = rng.choice([x for x in range(n) if x != v and x not in rows[v]])
+            rows[v] = sorted(set(rows[v]) - {u} | {w})
+            rows = tuple(map(tuple, rows))
+            with pytest.raises(GraphError) as exc:
+                UndirectedRegularGraph(n, d, rows)
+            assert str(exc.value) == reference_asymmetry(rows)
 
 
 class TestToBipartite:
@@ -388,6 +436,22 @@ class TestIo:
     def test_invalid_digraph_rejected(self):
         with pytest.raises(GraphError, match="^vertex 0 has in-degree 0, expected 1$"):
             parse_graph("digraph 2 1\n1\n1\n")
+
+    @pytest.mark.parametrize("text, rows", [
+        ("digraph 3 2\n2 0\n1 0\n2 1\n", ((0, 2), (0, 1), (1, 2))),
+        ("graph 4 2\n3 1\n2 0\n3 1\n2 0\n", ((1, 3), (0, 2), (1, 3), (0, 2))),
+    ])
+    def test_out_of_order_tokens_load_sorted(self, text, rows):
+        assert parse_graph(text).out_adj == rows
+
+    @pytest.mark.parametrize("text, message", [
+        ("digraph 2 2\n1 1\n0 0\n", "duplicate edge (0, 1)"),
+        ("graph 4 2\n1 3\n2 0\n3 1\n2 2\n", "duplicate edge (3, 2)"),
+    ])
+    def test_repeated_token_is_duplicate_edge(self, text, message):
+        with pytest.raises(GraphError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == message
 
 
 class TestCycleFactor:
