@@ -42,6 +42,7 @@ EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
 FAMILIES = ("complete_loops", "clique_union", "cycle", "complete_bipartite_like")
+ORACLE_MAX_N = 8  # bench reports the exact oracle for n <= ORACLE_MAX_N
 
 
 def instance_hash(g, as_digraph: bool = False) -> str:
@@ -218,9 +219,9 @@ def _bench_instance(desc) -> tuple[str, object]:
     return instance_hash(g), g
 
 
-def _bench_outputs(g, cfg: SamplerConfig, oracle_max_n: int) -> dict:
+def _bench_outputs(g, cfg: SamplerConfig) -> dict:
     outputs: dict = {}
-    if g.n <= oracle_max_n:
+    if g.n <= ORACLE_MAX_N:
         outputs["oracle"] = json.loads(build_report(g).to_json())
     result = _min_factor(g, cfg)
     outputs["cycle_counts"] = list(result.cycle_counts)
@@ -275,7 +276,7 @@ def cmd_bench(args) -> int:
     instances = manifest.get("instances", [])
     if not isinstance(config, dict) or not isinstance(instances, list):
         raise BadParameters("bad manifest: config must be an object, instances a list")
-    int_keys = ("samples", "mcmc_steps", "seed", "oracle_max_n")
+    int_keys = ("samples", "mcmc_steps", "seed")
     unknown = sorted(set(config) - {"backend", *int_keys})
     if unknown:
         raise BadParameters(f"bad manifest: unknown config key(s) {', '.join(unknown)}")
@@ -291,7 +292,6 @@ def cmd_bench(args) -> int:
         )
     except BadParameters as e:
         raise BadParameters(f"bad manifest: {e}") from None
-    oracle_max_n = config.get("oracle_max_n", 8)
     out_path = Path(args.out) if args.out else Path("bench_results.ndjson")
     config_hash = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()
@@ -311,7 +311,7 @@ def cmd_bench(args) -> int:
                 if (ih, config_hash, seed) in existing:
                     continue
                 start = time.monotonic()
-                outputs = _bench_outputs(g, cfg, oracle_max_n)
+                outputs = _bench_outputs(g, cfg)
             except (CycleFactorError, OSError) as e:
                 errors.append({"instance": desc, "error": str(e)})
                 continue

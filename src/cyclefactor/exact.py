@@ -196,9 +196,8 @@ def cycle_law(g: RegularDigraph) -> dict[int, int]:
     CENSUS_MAX_STATES states.
     """
     n, d = g.n, g.d
-    out_adj = g.out_adj
+    out_adj, in_adj = g.out_adj, g.in_adj
     out_mask = [sum(1 << v for v in row) for row in out_adj]
-    in_adj = in_rows(out_adj)
     in_mask = [sum(1 << r for r in col) for col in in_adj]
     full = (1 << n) - 1
     # A state's value is the polynomial sum of ways_c * x^c at x = 2^b, where

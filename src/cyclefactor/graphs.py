@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import BadParameters, GraphError, ParseError
@@ -41,16 +41,18 @@ class RegularDigraph:
 
     Every vertex has out-degree and in-degree exactly d. Loops and digons
     are permitted; parallel edges are not. ``out_adj[i]`` is the strictly
-    increasing tuple of out-neighbours of vertex ``i``. Building one that
-    breaks any of this raises (see ``require_valid``).
+    increasing tuple of out-neighbours of vertex ``i``; ``in_adj`` is the
+    transpose, built by the check that raises when any of this is broken
+    (``require_valid``).
     """
 
     n: int
     d: int
     out_adj: tuple[tuple[int, ...], ...]
+    in_adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        require_valid(self)
+        object.__setattr__(self, "in_adj", require_valid(self))
 
     @classmethod
     def from_lists(cls, n: int, d: int, out_adj) -> "RegularDigraph":
@@ -65,13 +67,10 @@ class RegularDigraph:
 @dataclass(frozen=True)
 class UndirectedRegularGraph(RegularDigraph):
     """A simple d-regular undirected graph, stored as its doubled digraph:
-    ``adj[i]``, which is ``out_adj[i]``, is the strictly increasing tuple
-    of neighbours of ``i``. Building one that breaks any of this raises
-    (see ``require_valid``). It never equals a ``RegularDigraph``."""
-
-    @property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        return self.out_adj
+    ``out_adj[i]`` is the strictly increasing tuple of neighbours of ``i``.
+    Its rows are symmetric, so ``in_adj`` is ``out_adj``, the same object.
+    Building one that breaks any of this raises (see ``require_valid``).
+    It never equals a ``RegularDigraph``."""
 
     def is_connected(self) -> bool:
         seen = [False] * self.n
@@ -80,7 +79,7 @@ class UndirectedRegularGraph(RegularDigraph):
         count = 1
         while stack:
             u = stack.pop()
-            for v in self.adj[u]:
+            for v in self.out_adj[u]:
                 if not seen[v]:
                     seen[v] = True
                     count += 1
@@ -131,13 +130,14 @@ class CycleFactor:
         )
 
 
-def require_valid(g) -> None:
-    """Raise the first invariant violation of g, if any, as a GraphError.
+def require_valid(g) -> tuple[tuple[int, ...], ...]:
+    """Raise the first invariant violation of g, if any, as a GraphError;
+    else return the transpose of its rows, which graphs keep as ``in_adj``.
 
     Graphs call this when built. Rows must be strictly increasing
     (``has_edge`` bisects them) and have exactly d entries in [0, n).
     A digraph must give every vertex in-degree d; undirected rows must be
-    loop-free and symmetric instead.
+    loop-free and symmetric instead, and are their own transpose.
     """
     if not isinstance(g, RegularDigraph):
         raise BadParameters(f"unsupported graph type {type(g).__name__}")
@@ -150,7 +150,6 @@ def require_valid(g) -> None:
     # One chained comparison per entry checks range and order at once;
     # loop is the one entry a row may not hold (-1, none, in a digraph).
     # _entry_fault names the fault of the entry that fails.
-    in_deg = [0] * n
     what = "out-degree" if directed else "degree"
     for u, row in enumerate(rows):
         if len(row) != d:
@@ -159,24 +158,20 @@ def require_valid(g) -> None:
         for v in row:
             if not prev < v < n or v == loop:
                 raise _entry_fault(u, v, prev, n, loops=directed)
-            in_deg[v] += 1
             prev = v
+    in_adj = tuple(map(tuple, in_rows(rows)))
     if directed:
-        for v, deg in enumerate(in_deg):
-            if deg != d:
-                raise GraphError(f"vertex {v} has in-degree {deg}, expected {d}")
-        return
-    # Symmetric rows of length d give every vertex in-degree d. Sorted
-    # rows are symmetric exactly when they equal their transpose; only
-    # when they do not is the first missing reverse edge looked for.
-    if list(map(list, rows)) == in_rows(rows):
-        return
-    for u, row in enumerate(rows):
-        for v in row:
-            back = rows[v]
-            k = bisect_left(back, u)
-            if k == d or back[k] != u:
-                raise GraphError(f"edge ({u}, {v}) present but ({v}, {u}) missing")
+        for v, col in enumerate(in_adj):
+            if len(col) != d:
+                raise GraphError(f"vertex {v} has in-degree {len(col)}, expected {d}")
+        return in_adj
+    # Sorted rows are symmetric exactly when they equal their transpose,
+    # and then every in-degree is d. Else name the first (u, v) in row
+    # order whose reverse is missing, that is, v is not in in-row u.
+    if in_adj != rows:
+        u, v = next((u, v) for u, row in enumerate(rows) for v in row if v not in in_adj[u])
+        raise GraphError(f"edge ({u}, {v}) present but ({v}, {u}) missing")
+    return rows
 
 
 def _entry_fault(u: int, v: int, prev: int, n: int, loops: bool) -> GraphError:
@@ -214,7 +209,7 @@ def double_undirected(g: UndirectedRegularGraph) -> RegularDigraph:
     """Direct every edge of g in both directions. The result is d-regular
     and loop-free; every arc's reverse is present. g already stores these
     rows, so the result differs from g only in type."""
-    return RegularDigraph(g.n, g.d, g.adj)
+    return RegularDigraph(g.n, g.d, g.out_adj)
 
 
 def gen_random_regular_digraph(
@@ -312,6 +307,9 @@ def gen_random_regular_digraph(
         add(cb)
         heads[i] = e
         heads[j] = b
+    # The arc set is the chain's largest structure; free it before the
+    # graph and its transpose are built, so it does not add to their peak.
+    del arcs, add, remove
     out: list[list[int]] = [[] for _ in range(n)]
     for t, h in zip(tails, heads):
         out[t].append(h)

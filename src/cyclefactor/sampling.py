@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import BadParameters, SizeLimitExceeded, StepBudgetExhausted
 from .exact import MAX_STATES, completion_levels
-from .graphs import CycleFactor, RegularDigraph, UndirectedRegularGraph, in_rows
+from .graphs import CycleFactor, RegularDigraph
 
 __all__ = [
     "EXACT_MAX_N",
@@ -253,8 +253,8 @@ class MCMCFactorSampler:
         self.steps = steps
         # The auxiliary bipartite graph: row u joins the columns g.out_adj[u].
         self._adj = g.out_adj
-        # Its transpose; an undirected graph's symmetric rows are their own.
-        self._in_adj = g.out_adj if isinstance(g, UndirectedRegularGraph) else in_rows(g.out_adj)
+        # Its transpose, which the graph built when it was checked.
+        self._in_adj = g.in_adj
         self._out_sets = [set(row) for row in g.out_adj]
         # g is d-regular with d >= 1, so by König's theorem this is perfect.
         self._init_match = hopcroft_karp(g.out_adj)

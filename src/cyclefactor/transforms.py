@@ -136,7 +136,7 @@ def to_tour(cycles: tuple[tuple[int, ...], ...], g: UndirectedRegularGraph) -> T
     while queue:
         ci = queue.popleft()
         for u in cycles[ci]:
-            for v in g.adj[u]:
+            for v in g.out_adj[u]:
                 cj = cyc_of[v]
                 if not visited[cj]:
                     visited[cj] = True

@@ -684,7 +684,7 @@ class TestBench:
         assert code == 2
         assert "config must be an object" in err
 
-    @pytest.mark.parametrize("key", ["samples", "mcmc_steps", "seed", "oracle_max_n"])
+    @pytest.mark.parametrize("key", ["samples", "mcmc_steps", "seed"])
     def test_config_value_not_integer(self, tmp_path, capsys, key):
         manifest = {"config": {key: "4"}, "instances": [{"family": "cycle", "n": 6, "d": 2}]}
         code, err, out = self.bench_raw(tmp_path, capsys, manifest)
@@ -705,11 +705,21 @@ class TestBench:
         assert not out.exists()
 
     def test_unknown_config_keys_rejected(self, tmp_path, capsys):
-        manifest = {"config": {"num_samples": 3, "mcmc-steps": 0},
+        manifest = {"config": {"num_samples": 3, "mcmc-steps": 0, "oracle_max_n": 8},
                     "instances": [{"family": "cycle", "n": 6, "d": 2}]}
         code, err, out = self.bench_raw(tmp_path, capsys, manifest)
-        assert (code, err) == (2, "bad manifest: unknown config key(s) mcmc-steps, num_samples\n")
+        assert (code, err) == (
+            2, "bad manifest: unknown config key(s) mcmc-steps, num_samples, oracle_max_n\n")
         assert not out.exists()
+
+    def test_oracle_report_up_to_n_8(self, tmp_path, capsys):
+        manifest = {"config": {"samples": 2},
+                    "instances": [{"family": "cycle", "n": 8, "d": 2},
+                                  {"family": "cycle", "n": 9, "d": 2}]}
+        code, _, out = self.bench_raw(tmp_path, capsys, manifest)
+        assert code == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert ["oracle" in r["outputs"] for r in records] == [True, False]
 
     def test_instance_n_not_integer(self, tmp_path, capsys):
         manifest = {"config": {"samples": 2},

@@ -78,6 +78,20 @@ def reference_asymmetry(rows):
     return None
 
 
+def reference_in_degree(n, d, rows):
+    """The message of the first vertex whose in-degree is not d, by the
+    per-entry counter ``require_valid`` kept before it built the
+    transpose."""
+    in_deg = [0] * n
+    for row in rows:
+        for v in row:
+            in_deg[v] += 1
+    for v, deg in enumerate(in_deg):
+        if deg != d:
+            return f"vertex {v} has in-degree {deg}, expected {d}"
+    return None
+
+
 class TestValidateDigraph:
     def test_single_loop_is_valid(self):
         RegularDigraph(1, 1, ((0,),))
@@ -115,6 +129,27 @@ class TestValidateDigraph:
         # has_edge bisects rows, so (1, 0) would hide the loop at 0.
         with pytest.raises(GraphError, match="^row 0 is not strictly increasing$"):
             RegularDigraph(2, 2, ((1, 0), (0, 1)))
+
+    def test_in_degree_message_matches_reference_counter(self):
+        # Each digraph has one arc's head moved: row u trades v for a
+        # vertex w it lacks, so every row stays sorted and of length d,
+        # and only the in-degrees of v and w break.
+        rng = random.Random(28)
+        for _ in range(300):
+            n = rng.randint(2, 20)
+            d = rng.randint(1, n - 1)
+            g = gen_random_regular_digraph(n, d, rng.randrange(1000))
+            rows = [list(r) for r in g.out_adj]
+            u = rng.randrange(n)
+            v = rng.choice(rows[u])
+            w = rng.choice([x for x in range(n) if x not in rows[u]])
+            rows[u] = sorted(set(rows[u]) - {v} | {w})
+            rows = tuple(map(tuple, rows))
+            message = reference_in_degree(n, d, rows)
+            assert message is not None
+            with pytest.raises(GraphError) as exc:
+                RegularDigraph(n, d, rows)
+            assert str(exc.value) == message
 
 
 class TestValidateUndirected:
@@ -192,6 +227,19 @@ class TestToBipartite:
             rev = in_rows(g.out_adj)
             assert rev == [[u for u in range(g.n) if v in g.out_adj[u]] for v in range(g.n)]
             assert all(a < b for row in rev for a, b in zip(row, row[1:]))
+            assert g.in_adj == tuple(map(tuple, rev))
+            if isinstance(g, UndirectedRegularGraph):
+                assert g.in_adj is g.out_adj
+
+    def test_in_adj_is_not_a_field_of_the_value(self):
+        # The transpose is derived from out_adj, so it takes no part in
+        # construction, equality, hashing or repr.
+        g = RegularDigraph(3, 1, ((1,), (2,), (0,)))
+        assert g.in_adj == ((2,), (0,), (1,))
+        assert repr(g) == "RegularDigraph(n=3, d=1, out_adj=((1,), (2,), (0,)))"
+        assert hash(g) == hash((3, 1, g.out_adj))
+        with pytest.raises(TypeError):
+            RegularDigraph(3, 1, ((1,), (2,), (0,)), ((2,), (0,), (1,)))
 
 
 class TestDoubleUndirected:
@@ -219,7 +267,7 @@ class TestUndirectedIsDoubledDigraph:
     def test_is_a_digraph_with_the_same_rows(self):
         g = gen_family("clique_union", 8, 3)
         assert isinstance(g, RegularDigraph)
-        assert g.adj == g.out_adj == double_undirected(g).out_adj
+        assert g.out_adj == double_undirected(g).out_adj
 
     def test_never_equals_its_doubled_digraph(self):
         g = gen_family("cycle", 5, 2)
@@ -355,17 +403,17 @@ class TestFamilies:
 
     def test_clique_union_two_k4(self):
         g = gen_family("clique_union", 8, 3)
-        assert g.adj[0] == (1, 2, 3) and g.adj[4] == (5, 6, 7)
+        assert g.out_adj[0] == (1, 2, 3) and g.out_adj[4] == (5, 6, 7)
         assert not g.is_connected()
 
     def test_cycle_c6(self):
         g = gen_family("cycle", 6, 2)
-        assert g.adj[0] == (1, 5)
+        assert g.out_adj[0] == (1, 5)
         assert g.is_connected()
 
     def test_complete_bipartite_like(self):
         g = gen_family("complete_bipartite_like", 8, 2)
-        assert g.adj[0] == (2, 3)
+        assert g.out_adj[0] == (2, 3)
 
     @pytest.mark.parametrize(
         "kind,n,d",

@@ -24,3 +24,40 @@ def test_package_imports_only_the_standard_library():
                 if top not in sys.stdlib_module_names and top != "cyclefactor":
                     foreign.add(f"{path.name}: {name}")
     assert not foreign, sorted(foreign)
+
+
+def _uses(tree, name):
+    """The nodes of tree that name ``name``: a bare name, an attribute or
+    an imported name."""
+    return [
+        node for node in ast.walk(tree)
+        if name in (getattr(node, "id", None), getattr(node, "attr", None))
+        or isinstance(node, ast.alias) and node.name == name
+    ]
+
+
+def test_one_transpose_builder():
+    # A graph's transpose is built once, by the check that runs when the
+    # graph is built, and every holder of a graph reads it as g.in_adj.
+    # Only _frontier_order, which takes bare rows, builds one of its own.
+    builders = {("graphs.py", "require_valid"), ("exact.py", "_frontier_order")}
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and (path.name, func.name) in builders
+            for node in ast.walk(func)
+        }
+        stray += [
+            f"{path.name}:{node.lineno} uses in_rows"
+            for node in _uses(tree, "in_rows")
+            if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in allowed
+        ]
+        if path.name in ("sampling.py", "exact.py"):
+            stray += [
+                f"{path.name}:{node.lineno} names UndirectedRegularGraph"
+                for node in _uses(tree, "UndirectedRegularGraph")
+            ]
+    assert not stray, stray
