@@ -202,9 +202,10 @@ def cycle_law(g: RegularDigraph) -> dict[int, int]:
     full = (1 << n) - 1
     # A state's value is the polynomial sum of ways_c * x^c at x = 2^b, where
     # ways_c partial factors reaching it have closed c cycles. At most d^n
-    # partial factors reach a state and d^n < 2^b, so no digit carries into
+    # partial factors reach a state, or close c cycles in all, and b is the
+    # least width with d^n < 2^b (1 bit for d = 1), so no digit carries into
     # the next: closing a cycle is a shift by b, merging two states a sum.
-    b = n * d.bit_length() + 1
+    b = (d**n).bit_length()
     total = 0
     # The state (covered, s, h) is keyed by covered << 2w | s << w | h.
     w = n.bit_length()

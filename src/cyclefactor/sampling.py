@@ -81,6 +81,11 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # None leaves a budget to its default; a bool is not an integer here.
+        for name in ("mcmc_steps", "num_samples", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int and (value is not None or name == "seed"):
+                raise BadParameters(f"{name} must be an integer, got {value!r}")
         if self.backend not in ("auto", "exact", "mcmc"):
             raise BadParameters(f"unknown backend {self.backend!r}")
         if self.mcmc_steps is not None and self.mcmc_steps < 1:
@@ -186,39 +191,39 @@ def hopcroft_karp(adj) -> list[int]:
 class ExactFactorSampler:
     """Exactly uniform cycle-factor sampler.
 
-    ``_counts`` holds every level of ``completion_levels``, which pushes
-    the rows in frontier order: for a column set S, the number of ways to
-    match the first n - |S| rows pushed onto the columns outside S. A draw
-    walks the rows in reverse push order, so S is the set of columns taken
-    by the rows walked so far, and picks each row's column with a single
-    uniform integer, which realises the count-ratio (permanent-ratio)
-    sequential scheme exactly. The table holds at most MAX_STATES entries,
-    enough for any n <= EXACT_MAX_N.
+    Keeps each level of ``completion_levels`` as the pass built it, beside
+    the row pushed from it. A level maps a column set S to the number of
+    ways to match the first n - |S| rows pushed onto the columns outside S.
+    A draw walks the rows in reverse push order, S being the set of columns
+    taken by the rows walked so far, each looked up in the walked row's own
+    level, and picks each row's column with a single uniform integer: the
+    count-ratio (permanent-ratio) sequential scheme, exactly. The levels
+    hold at most MAX_STATES entries in all, enough for any n <= EXACT_MAX_N.
     """
 
     def __init__(self, g: RegularDigraph):
         self.graph = g
-        self._counts: dict[int, int] = {}
-        pushed = []
+        self._walk = deque()  # (row, its columns, the level it is pushed from)
+        held = 0
         for row, level in completion_levels(g.out_adj):
             if row is not None:
-                pushed.append(row)
-            self._counts.update(level)
-            if len(self._counts) > MAX_STATES:
+                self._walk.appendleft((row, g.out_adj[row], source))
+            held += len(level)
+            if held > MAX_STATES:
                 raise SizeLimitExceeded(f"exact sampler table holds over {MAX_STATES} column sets")
-        self._walk = [(row, g.out_adj[row]) for row in reversed(pushed)]
-        self.total = self._counts.get(0, 0)
+            source = level
+        self.total = level.get(0, 0)
 
     def sample(self, rng: random.Random) -> CycleFactor:
         r = rng.randrange(self.total)
         sigma = [0] * self.graph.n
         used = 0
-        for row, cols in self._walk:
+        for row, cols, counts in self._walk:
             for v in cols:
                 bit = 1 << v
                 if used & bit:
                     continue
-                c = self._counts.get(used | bit, 0)
+                c = counts.get(used | bit, 0)
                 if r < c:
                     sigma[row] = v
                     used |= bit

@@ -689,7 +689,8 @@ class TestBench:
         manifest = {"config": {key: "4"}, "instances": [{"family": "cycle", "n": 6, "d": 2}]}
         code, err, out = self.bench_raw(tmp_path, capsys, manifest)
         assert code == 2
-        assert f"config {key} not an integer" in err
+        field = {"samples": "num_samples"}.get(key, key)
+        assert err == f"bad manifest: {field} must be an integer, got '4'\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("config, message", [

@@ -143,11 +143,14 @@ class TestFrontierOrder:
         # here, at most 2 per level; kept, they make 421 entries and a
         # widest level of 20 (index order: 5,551).
         monkeypatch.setattr(exact, "MAX_STATES", 2)
-        monkeypatch.setattr(sampling, "MAX_STATES", 79)
         doubled = double_undirected(gen_family("cycle", 40, 2))
         assert permanent(to_bipartite(doubled)) == 4
+        monkeypatch.setattr(sampling, "MAX_STATES", 78)
+        with pytest.raises(SizeLimitExceeded, match="over 78 column sets"):
+            ExactFactorSampler(doubled)
+        monkeypatch.setattr(sampling, "MAX_STATES", 79)
         sampler = ExactFactorSampler(doubled)
-        assert (sampler.total, len(sampler._counts)) == (4, 79)
+        assert sampler.total == 4
         rng = random.Random(0)
         assert all(sampler.sample(rng).is_factor_of(doubled) for _ in range(10))
 
@@ -220,13 +223,16 @@ class TestDeadSets:
         double_undirected(gen_family("cycle", 40, 2)),
     ], ids=["random16-3", "random20-3", "random12-4", "random14-2", "clique_union12-3", "doubled_c40"])
     def test_draws_equal_unpruned_table_draws(self, g):
-        # A draw never reads a dropped set, so the pruned table draws the
-        # same factor as the full one for every seed.
+        # A draw never reads a dropped set, so the pruned levels draw the
+        # same factor as the full ones for every seed. The reference walks
+        # the same rows, reading full level t at the row pushed t-th.
         sampler = ExactFactorSampler(g)
         reference = ExactFactorSampler(g)
-        reference._counts = {left: ways for level in unpruned_levels(g.out_adj)
-                             for left, ways in level.items()}
-        assert len(sampler._counts) < len(reference._counts)
+        full = unpruned_levels(g.out_adj)
+        pushed = list(enumerate(exact._frontier_order(g.out_adj)))
+        reference._walk = [(row, g.out_adj[row], full[t]) for t, row in reversed(pushed)]
+        assert (sum(len(level) for *_, level in sampler._walk)
+                < sum(len(level) for *_, level in reference._walk))
         for seed in range(50):
             want = reference.sample(random.Random(seed))
             assert sampler.sample(random.Random(seed)) == want, seed
@@ -317,6 +323,16 @@ class TestCycleCensus:
         # digon factors from the two perfect matchings of C_n.
         law = exact.cycle_law(double_undirected(gen_family("cycle", n, 2)))
         assert law == ({1: 2, n // 2: 2} if n % 2 == 0 else {1: 2})
+
+    @pytest.mark.parametrize("g, law", [
+        (gen_family("complete_loops", 2000, 1), {2000: 1}),
+        (directed_cycle(2000), {1: 1}),
+        (double_undirected(gen_family("cycle", 2000, 2)), {1: 2, 1000: 2}),
+    ], ids=["identity2000", "directed_c2000", "doubled_c2000"])
+    def test_long_laws(self, g, law):
+        # Packed in digits of the least width b with d^n < 2^b: 1 bit for
+        # d = 1, n + 1 bits for d = 2.
+        assert exact.cycle_law(g) == law
 
     def test_complete_loops_past_enumeration_cap(self):
         # Four disjoint K5 with loops: (5!)^4 factors, E = 4 H_5; past the

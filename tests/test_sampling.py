@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -8,7 +9,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2_contingency, chisquare
 
 from cyclefactor import sampling
 from cyclefactor.errors import BadParameters, SizeLimitExceeded, StepBudgetExhausted
@@ -84,6 +85,28 @@ class TestExactSampler:
             r = random.Random(1)
             for _ in range(20):
                 assert sampler.sample(r).is_factor_of(g)
+
+    def test_doubled_c200_past_61_columns_is_uniform(self):
+        # The int keys 2^c and 2^(c+61) share a hash; here the columns run
+        # to 199. The four factors: two Hamilton cycles, two of 100 digons.
+        g = double_undirected(gen_family("cycle", 200, 2))
+        sampler = ExactFactorSampler(g)
+        assert sampler.total == 4
+        rng = random.Random(3)
+        counts = Counter(sampler.sample(rng).sigma for _ in range(400))
+        assert len(counts) == 4
+        assert chisquare(list(counts.values())).pvalue >= 1e-3
+
+    def test_golden_draws(self):
+        # Pins every exact draw of seeds 0-19 on three instances.
+        graphs = [gen_random_regular_digraph(16, 3, 1), gen_random_regular_digraph(20, 3, 1),
+                  double_undirected(gen_family("cycle", 200, 2))]
+        sigmas = []
+        for g in graphs:
+            sampler = ExactFactorSampler(g)
+            sigmas += [sampler.sample(random.Random(seed)).sigma for seed in range(20)]
+        digest = hashlib.sha256(repr(sigmas).encode()).hexdigest()
+        assert digest == "3d275c31d5bbcccb764ac7d918778ee7e73ea719c7a3e29d1d541d91a1134ca1"
 
     def test_uniform_frequencies_complete_3(self):
         g = complete_loops(3)
@@ -402,7 +425,13 @@ class TestMinCycleFactor:
 
     @pytest.mark.parametrize("kwargs", [
         {"mcmc_steps": 0}, {"num_samples": 0}, {"backend": "bogus"},
-    ], ids=["mcmc_steps", "num_samples", "backend"])
+        {"mcmc_steps": 2.5, "backend": "mcmc"}, {"num_samples": 2.5}, {"seed": 1.5},
+        {"mcmc_steps": "4"}, {"num_samples": "4"}, {"seed": "4"},
+        {"mcmc_steps": True}, {"num_samples": True}, {"seed": False},
+    ], ids=["mcmc_steps", "num_samples", "backend",
+            "mcmc_steps_float", "num_samples_float", "seed_float",
+            "mcmc_steps_str", "num_samples_str", "seed_str",
+            "mcmc_steps_bool", "num_samples_bool", "seed_bool"])
     def test_config_checked_when_built(self, kwargs):
         with pytest.raises(BadParameters):
             SamplerConfig(**kwargs)
