@@ -15,6 +15,8 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import contains
 from pathlib import Path
 
 from .errors import BadParameters, GraphError, ParseError
@@ -103,8 +105,11 @@ class CycleFactor:
     def from_sigma(cls, sigma) -> "CycleFactor":
         sigma = tuple(sigma)
         n = len(sigma)
-        if sorted(sigma) != list(range(n)):
+        if sigma and not (0 <= min(sigma) and max(sigma) < n):
             raise BadParameters("sigma is not a permutation")
+        # With every value in range, sigma is a permutation exactly when
+        # each walk closes at its start: one that stops at another seen
+        # vertex has met a value twice.
         seen = [False] * n
         cycles = []
         for start in range(n):
@@ -116,6 +121,8 @@ class CycleFactor:
                 seen[v] = True
                 cyc.append(v)
                 v = sigma[v]
+            if v != start:
+                raise BadParameters("sigma is not a permutation")
             cycles.append(tuple(cyc))
         return cls(sigma, tuple(cycles))
 
@@ -125,9 +132,7 @@ class CycleFactor:
 
     def is_factor_of(self, g: RegularDigraph) -> bool:
         """Every arc (i, sigma(i)) is in g."""
-        return len(self.sigma) == g.n and all(
-            g.has_edge(i, v) for i, v in enumerate(self.sigma)
-        )
+        return len(self.sigma) == g.n and all(map(contains, g.out_adj, self.sigma))
 
 
 def require_valid(g) -> tuple[tuple[int, ...], ...]:
@@ -367,8 +372,9 @@ def gen_family(kind: str, n: int, d: int):
 def graph_to_text(g: RegularDigraph) -> str:
     """Serialize a graph to the canonical text format."""
     kind = "graph" if isinstance(g, UndirectedRegularGraph) else "digraph"
+    names = list(map(str, range(g.n)))
     lines = [f"{kind} {g.n} {g.d}"]
-    lines.extend(" ".join(map(str, row)) for row in g.out_adj)
+    lines += [" ".join([names[v] for v in row]) for row in g.out_adj]
     return "\n".join(lines) + "\n"
 
 
@@ -381,35 +387,44 @@ def parse_graph(text: str):
 
     Raises ParseError when the text is not in the format, and GraphError
     when it is but the graph it gives breaks an invariant."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        lines.append((lineno, stripped))
-    if not lines:
+    lines = text.splitlines()
+    tokens = list(map(str.split, lines))
+    # A blank line has no token; a comment's first token starts with "#".
+    kept = [row for row in tokens if row and row[0][0] != "#"]
+    if not kept:
         raise ParseError(1, "empty file")
-    head_no, head = lines[0]
-    parts = head.split()
+    parts, body = kept[0], kept[1:]
+    # No line before the header has its tokens, since each would be kept.
+    head_no = tokens.index(parts) + 1
+    head = lines[head_no - 1].strip()
     if len(parts) != 3 or parts[0] not in ("digraph", "graph"):
         raise ParseError(head_no, f"bad header {head!r}")
     try:
         n, d = int(parts[1]), int(parts[2])
     except ValueError:
         raise ParseError(head_no, f"non-integer header fields in {head!r}") from None
-    if len(lines) - 1 != n:
-        raise ParseError(head_no, f"expected {n} adjacency lines, found {len(lines) - 1}")
-    rows = []
-    for lineno, line in lines[1:]:
-        try:
-            row = tuple(sorted(map(int, line.split())))
-        except ValueError:
-            raise ParseError(lineno, f"non-integer vertex in {line!r}") from None
-        if len(row) != d:
-            raise ParseError(lineno, f"expected {d} neighbours, found {len(row)}")
-        rows.append(row)
+    if len(body) != n:
+        raise ParseError(head_no, f"expected {n} adjacency lines, found {len(body)}")
+    try:
+        flat = list(map(int, chain.from_iterable(body)))
+    except ValueError:
+        flat = None
+    if flat is None or set(map(len, body)) - {d}:
+        # Name the first bad line in file order, on it a non-integer first.
+        for lineno, row in enumerate(tokens[head_no:], start=head_no + 1):
+            if not row or row[0][0] == "#":
+                continue
+            try:
+                list(map(int, row))
+            except ValueError:
+                line = lines[lineno - 1].strip()
+                raise ParseError(lineno, f"non-integer vertex in {line!r}") from None
+            if len(row) != d:
+                raise ParseError(lineno, f"expected {d} neighbours, found {len(row)}")
+    # Each of the n lines holds d integers; n = 0 leaves d unchecked.
+    rows = tuple(map(tuple, map(sorted, zip(*[iter(flat)] * d)))) if n else ()
     cls = RegularDigraph if parts[0] == "digraph" else UndirectedRegularGraph
-    return cls(n, d, tuple(rows))
+    return cls(n, d, rows)
 
 
 def read_graph(path):

@@ -122,22 +122,31 @@ def hopcroft_karp(adj) -> list[int]:
     the V-partner of each U vertex (-1 for unmatched). Deterministic:
     vertices scanned in index order.
 
-    Each phase layers the graph by BFS from the free U vertices, then
-    searches augmenting paths depth-first from each free U vertex in
-    order. The search keeps its path on explicit stacks, so path length
-    is not limited by Python's recursion depth.
+    The first phase starts with every row free, so its layers are all
+    level 0 and each row in turn takes its first free column: it is run
+    as that first-fit loop. Each later phase layers the graph by BFS from
+    the rows free when it starts, then searches augmenting paths
+    depth-first from each of them in order; a matched row never becomes
+    free again, so that list is the phase's roots. The search keeps its
+    path on explicit stacks, so path length is not limited by Python's
+    recursion depth.
     """
     n = len(adj)
     match_u = [-1] * n
     match_v = [-1] * n
+    for u, row in enumerate(adj):
+        for v in row:
+            if match_v[v] == -1:
+                match_u[u] = v
+                match_v[v] = u
+                break
     INF = n + 1
     while True:
+        free = [u for u in range(n) if match_u[u] == -1]
         dist = [INF] * n
-        queue = deque()
-        for u in range(n):
-            if match_u[u] == -1:
-                dist[u] = 0
-                queue.append(u)
+        for u in free:
+            dist[u] = 0
+        queue = deque(free)
         found = False
         while queue:
             u = queue.popleft()
@@ -156,9 +165,7 @@ def hopcroft_karp(adj) -> list[int]:
         path: list[int] = []
         cols: list[int] = []
         scans = []
-        for root in range(n):
-            if match_u[root] != -1:
-                continue
+        for root in free:
             u, scan = root, iter(adj[root])
             while True:
                 for v in scan:
@@ -249,6 +256,11 @@ class MCMCFactorSampler:
     A lazy step leaves the state as it is, so the burn-in is drawn as
     Binomial(``steps``, 1/2) moves in a row, the same law as ``steps``
     lazy steps for fewer random draws.
+
+    The start matching and its inverse are built once; a draw copies
+    both. A hole's own slots keep their stale partners: no move reads
+    them while they are holes (the rotate moves skip the hole row), and a
+    draw returns only from a perfect state, where every slot is filled.
     """
 
     def __init__(self, g: RegularDigraph, steps: int):
@@ -260,9 +272,12 @@ class MCMCFactorSampler:
         self._adj = g.out_adj
         # Its transpose, which the graph built when it was checked.
         self._in_adj = g.in_adj
-        self._out_sets = [set(row) for row in g.out_adj]
+        self._out_sets = list(map(set, g.out_adj))
         # g is d-regular with d >= 1, so by König's theorem this is perfect.
         self._init_match = hopcroft_karp(g.out_adj)
+        self._init_match_v = [0] * g.n
+        for u, v in enumerate(self._init_match):
+            self._init_match_v[v] = u
 
     def sample(self, rng: random.Random) -> CycleFactor:
         """One draw from ``rng``'s stream.
@@ -283,10 +298,8 @@ class MCMCFactorSampler:
         adj = self._adj
         in_adj = self._in_adj
         out_sets = self._out_sets
-        match_u = list(self._init_match)
-        match_v = [-1] * n
-        for u, v in enumerate(match_u):
-            match_v[v] = u
+        match_u = self._init_match.copy()
+        match_v = self._init_match_v.copy()
         hole_u = -1  # -1 means perfect
         hole_v = -1
         budget = self.steps
@@ -311,16 +324,15 @@ class MCMCFactorSampler:
                 u = bits(bits_n)
                 while u >= n:
                     u = bits(bits_n)
-                v = match_u[u]
-                match_u[u] = -1
-                match_v[v] = -1
-                hole_u, hole_v = u, v
+                hole_u, hole_v = u, match_u[u]
             else:
-                overlap = hole_v in out_sets[hole_u]
-                if overlap:
+                if hole_v in out_sets[hole_u]:
                     k = bits(bits_shared)
                     while k >= w_shared:
                         k = bits(bits_shared)
+                    # Transpose rows are sorted and distinct: skip hole_u.
+                    if k >= d and in_adj[hole_v][k - d] >= hole_u:
+                        k += 1
                 else:
                     k = bits(bits_apart)
                     while k >= w_apart:
@@ -335,19 +347,12 @@ class MCMCFactorSampler:
                         u2 = match_v[v]
                         match_v[v] = hole_u
                         match_u[hole_u] = v
-                        match_u[u2] = -1
                         hole_u = u2
                 else:
-                    in_row = in_adj[hole_v]
-                    k -= d
-                    # Transpose rows are sorted and distinct: skip hole_u.
-                    if overlap and in_row[k] >= hole_u:
-                        k += 1
-                    u2 = in_row[k]
+                    u2 = in_adj[hole_v][k - d]
                     v2 = match_u[u2]
                     match_u[u2] = hole_v
                     match_v[hole_v] = u2
-                    match_v[v2] = -1
                     hole_v = v2
         raise StepBudgetExhausted(
             f"no perfect state within {limit} steps (budget {budget})"

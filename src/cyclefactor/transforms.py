@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+from operator import contains, itemgetter
 
 from .errors import BadParameters
 from .graphs import CycleFactor, UndirectedRegularGraph
@@ -96,17 +98,19 @@ def to_path_factor(
 
     A 2-cycle keeps its edge and becomes a 2-vertex path; a singleton
     stays a 1-vertex path. In longer cycles the removed edge is the one
-    whose endpoint pair is largest, for determinism.
+    whose endpoint pair is largest, for determinism: it joins the cycle's
+    largest vertex to the larger of its two neighbours, and the path runs
+    from the other end of that edge round to it.
     """
     _cycle_index(cycles, g.n)
     paths = []
     for cyc in cycles:
-        if len(cyc) <= 2:
-            paths.append(tuple(cyc))
-            continue
-        ln = len(cyc)
-        cut = max(range(ln), key=lambda i: tuple(sorted((cyc[i], cyc[(i + 1) % ln]), reverse=True)))
-        paths.append(tuple(cyc[(cut + 1 + j) % ln] for j in range(ln)))
+        if len(cyc) > 2:
+            top = cyc.index(max(cyc))
+            # cyc[-1] precedes cyc[0]; after the last vertex comes cyc[0].
+            start = top if cyc[top - 1] > cyc[(top + 1) % len(cyc)] else top + 1
+            cyc = cyc[start:] + cyc[:start]
+        paths.append(tuple(cyc))
     return PathFactor(tuple(paths))
 
 
@@ -177,6 +181,15 @@ def to_tour(cycles: tuple[tuple[int, ...], ...], g: UndirectedRegularGraph) -> T
 
 def verify_path_factor(pf: PathFactor, g: UndirectedRegularGraph) -> CheckReport:
     """Re-validate all path-factor invariants against g from scratch."""
+    # One all-pass test at C speed; the scan below names what fails. A
+    # step goes from a path's vertex but its last (tails) to the next one.
+    paths, n, row = pf.paths, g.n, g.out_adj.__getitem__
+    flat = list(chain.from_iterable(paths))
+    tails = chain.from_iterable(map(itemgetter(slice(-1)), paths))
+    heads = chain.from_iterable(map(itemgetter(slice(1, None)), paths))
+    if (all(paths) and len(flat) == n and 0 <= min(flat) and max(flat) < n
+            and len(set(flat)) == n and all(map(contains, map(row, tails), heads))):
+        return CheckReport(True)
     violations = []
     seen: set[int] = set()
     for path in pf.paths:
@@ -206,6 +219,11 @@ def verify_tour(t: Tour, g: UndirectedRegularGraph) -> CheckReport:
     walk = t.walk
     if not walk:
         return CheckReport(False, ("EmptyWalk",))
+    # One all-pass test at C speed; the scan below names what fails.
+    n, row = g.n, g.out_adj.__getitem__
+    if (walk[0] == walk[-1] and 0 <= min(walk) and max(walk) < n
+            and len(set(walk)) == n and all(map(contains, map(row, walk), walk[1:]))):
+        return CheckReport(True)
     if walk[0] != walk[-1]:
         violations.append(f"NotClosed: starts {walk[0]}, ends {walk[-1]}")
     covered = set()
