@@ -517,3 +517,88 @@ class TestCycleFactor:
         assert CycleFactor.from_sigma((1, 2, 0)).is_factor_of(g)
         g1 = RegularDigraph(3, 1, ((1,), (2,), (0,)))
         assert not CycleFactor.from_sigma((2, 0, 1)).is_factor_of(g1)
+
+
+def reference_cycles(sigma):
+    """The cycle walk of CycleFactor.from_sigma, as it ran after a sorted
+    check had found sigma a permutation."""
+    seen = [False] * len(sigma)
+    cycles = []
+    for start in range(len(sigma)):
+        if seen[start]:
+            continue
+        cyc = []
+        v = start
+        while not seen[v]:
+            seen[v] = True
+            cyc.append(v)
+            v = sigma[v]
+        cycles.append(tuple(cyc))
+    return tuple(cycles)
+
+
+class TestFromSigmaChecks:
+    @pytest.mark.parametrize("sigma", [
+        (0, 1, 1),  # a repeated value
+        (0, -1, 1),  # a negative value
+        (0, 1, 3),  # a value >= n
+        (1, 2, 1),  # vertex 0 hangs off the cycle (1 2)
+        (1, 0, 0),  # vertex 2 hangs off the cycle (0 1)
+    ], ids=["repeated", "negative", "too-large", "tree-at-first", "tree-at-last"])
+    def test_not_a_permutation(self, sigma):
+        with pytest.raises(BadParameters, match=r"^sigma is not a permutation$"):
+            CycleFactor.from_sigma(sigma)
+
+    def test_raises_exactly_when_sorted_check_fails(self):
+        for n in range(5):
+            for sigma in itertools.product(range(-1, n + 1), repeat=n):
+                is_permutation = sorted(sigma) == list(range(n))
+                try:
+                    cf = CycleFactor.from_sigma(sigma)
+                except BadParameters:
+                    assert not is_permutation, sigma
+                else:
+                    assert is_permutation and cf.cycles == reference_cycles(sigma), sigma
+
+    def test_same_cycles_as_before(self):
+        rng = random.Random(2)
+        for n in (1, 2, 7, 100, 1000):
+            for _ in range(20):
+                sigma = list(range(n))
+                rng.shuffle(sigma)
+                assert CycleFactor.from_sigma(sigma).cycles == reference_cycles(sigma)
+
+
+class TestParseFaults:
+    """Rows are converted in one pass; a fault is still named at the first
+    bad line in file order, on that line a non-integer before a count."""
+
+    def test_count_fault_before_later_non_integer(self):
+        text = "digraph 4 1\n1\n2 3\n# c\nx\n0\n"
+        with pytest.raises(ParseError, match=r"^line 3: expected 1 neighbours, found 2$"):
+            parse_graph(text)
+
+    def test_non_integer_named_before_count_on_one_line(self):
+        with pytest.raises(ParseError, match=r"^line 3: non-integer vertex in '2 x'$"):
+            parse_graph("digraph 3 1\n1\n2 x\n0\n")
+
+    def test_non_integer_line_before_a_later_count_fault(self):
+        with pytest.raises(ParseError, match=r"^line 2: non-integer vertex in '1 y'$"):
+            parse_graph("digraph 3 1\n1 y\n2 0\n0\n")
+
+    @pytest.mark.parametrize("text", [
+        "graph 4 2\r\n1 3\r\n0 2\r\n1 3\r\n0 2\r\n",
+        "graph 4 2\n1\t3\n\t0 2\n1\t 3 \n 0\t2\t\n",
+        "  # lead\n graph  4 2 \n\n1 3\n  # mid\n0 2\n1 3\n0 2",
+    ], ids=["crlf", "tabs", "blank-and-comment"])
+    def test_whitespace_and_comments_load_the_same_graph(self, text):
+        assert parse_graph(text) == gen_family("cycle", 4, 2)
+
+    def test_no_rows_with_a_huge_degree(self):
+        # n = 0 builds no row, so the header's d is checked, not allocated.
+        with pytest.raises(GraphError, match=r"^need 1 <= d <= n, got d=99999999999999, n=0$"):
+            parse_graph("digraph 0 99999999999999\n")
+
+    def test_header_line_counts_leading_comments(self):
+        with pytest.raises(ParseError, match=r"^line 3: expected 2 adjacency lines, found 1$"):
+            parse_graph("# one\n\ngraph 2 1\n1\n")

@@ -30,6 +30,7 @@ from cyclefactor.sampling import (
 )
 from cyclefactor.graphs import to_bipartite
 from factor_listing import enumerate_cycle_factors
+from hopcroft_karp_reference import hopcroft_karp as reference_hopcroft_karp
 from lazy_chain import lazy_draw
 
 
@@ -62,6 +63,38 @@ class TestHopcroftKarp:
     def test_deterministic(self):
         h = to_bipartite(gen_random_regular_digraph(8, 2, 7))
         assert hopcroft_karp(h) == hopcroft_karp(h)
+
+
+class TestHopcroftKarpReference:
+    """The first-fit first phase and the per-phase root list give the
+    matching of the all-BFS version in tests/hopcroft_karp_reference.py."""
+
+    def test_every_small_random_digraph(self):
+        for n in range(1, 13):
+            for d in range(1, n + 1):
+                for seed in range(5):
+                    rows = gen_random_regular_digraph(n, d, seed).out_adj
+                    assert hopcroft_karp(rows) == reference_hopcroft_karp(rows), (n, d, seed)
+
+    @pytest.mark.parametrize("n, d", [(100, 2), (250, 3), (500, 4), (1000, 5), (2000, 6), (2000, 2)])
+    def test_large_random_digraphs(self, n, d):
+        rows = gen_random_regular_digraph(n, d, n + d).out_adj
+        assert hopcroft_karp(rows) == reference_hopcroft_karp(rows)
+
+    @pytest.mark.parametrize("kind, n, d", [
+        ("cycle", 1000, 2), ("clique_union", 1000, 3), ("complete_bipartite_like", 1002, 3),
+    ])
+    def test_doubled_families(self, kind, n, d):
+        rows = double_undirected(gen_family(kind, n, d)).out_adj
+        assert hopcroft_karp(rows) == reference_hopcroft_karp(rows)
+
+    def test_rows_that_stay_unmatched(self):
+        # Not regular: empty rows, and rows fighting over few columns.
+        rng = random.Random(1)
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            rows = [sorted(rng.sample(range(n), rng.randint(0, min(n, 4)))) for _ in range(n)]
+            assert hopcroft_karp(rows) == reference_hopcroft_karp(rows), rows
 
 
 class TestExactSampler:

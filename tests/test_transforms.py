@@ -10,7 +10,7 @@ from cyclefactor.graphs import (
     double_undirected,
     gen_family,
 )
-from cyclefactor.sampling import ExactFactorSampler, SamplerConfig, min_cycle_factor
+from cyclefactor.sampling import ExactFactorSampler, MCMCFactorSampler, SamplerConfig, min_cycle_factor
 from cyclefactor.transforms import (
     CheckReport,
     PathFactor,
@@ -251,3 +251,70 @@ class TestVerifiers:
                 cycles = to_undirected_cycle_factor(cf, g)
                 assert verify_tour(to_tour(cycles, g), g).ok
                 assert verify_path_factor(to_path_factor(cycles, g), g).ok
+
+
+def reference_cut_path(cyc):
+    """The path that to_path_factor made of a cycle longer than 2 before it
+    read the cut off the largest vertex: it cut the edge whose sorted
+    endpoint pair is largest, found by a scan over every edge."""
+    ln = len(cyc)
+    cut = max(range(ln), key=lambda i: tuple(sorted((cyc[i], cyc[(i + 1) % ln]), reverse=True)))
+    return tuple(cyc[(cut + 1 + j) % ln] for j in range(ln))
+
+
+class TestPathCutReference:
+    def test_every_cycle_of_sampled_factors(self):
+        # The circulant i ~ i +- 1, i +- 5 has factors with long cycles.
+        n = 40
+        g = UndirectedRegularGraph.from_lists(
+            n, 4, [[(i + s) % n for s in (-5, -1, 1, 5)] for i in range(n)]
+        )
+        sampler = MCMCFactorSampler(double_undirected(g), 4000)
+        rng = random.Random(4)
+        lengths = set()
+        for _ in range(200):
+            cycles = sampler.sample(rng).cycles
+            lengths.update(map(len, cycles))
+            # Every rotation, both ways round, puts the largest vertex of
+            # each cycle at every position, the first and the last included.
+            for turn in (cycles, tuple(c[::-1] for c in cycles)):
+                for r in range(max(map(len, turn))):
+                    rotated = tuple(c[r % len(c):] + c[:r % len(c)] for c in turn)
+                    expected = tuple(reference_cut_path(c) if len(c) > 2 else c for c in rotated)
+                    assert to_path_factor(rotated, g).paths == expected
+        assert max(lengths) > 20 and {2, 3} & lengths
+
+
+C4 = gen_family("cycle", 4, 2)
+
+
+class TestVerifierFastPath:
+    """The verifiers pass valid input through one all-pass test and scan
+    only when it fails. Each input here fails one part of that test, or is
+    valid only when steps are read within paths; the tuples are the scan's."""
+
+    @pytest.mark.parametrize("walk, violations", [
+        ((0, 1, 2, 3, 0), ()),
+        ((0, 1, 0), ("UncoveredVertex: 2", "UncoveredVertex: 3")),
+        ((0, 1, 2, 3), ("NotClosed: starts 0, ends 3",)),
+        ((0, 2, 0), ("NonEdge: (0, 2)", "NonEdge: (2, 0)", "UncoveredVertex: 1", "UncoveredVertex: 3")),
+        ((0, 1, 2, 3, 1, 0), ("NonEdge: (3, 1)",)),
+        ((0, 1, 2, 3, -1, 0), ("IndexOutOfRange: -1",)),
+        ((0, 1, 2, 3, 4, 0), ("IndexOutOfRange: 4",)),
+        ((0, 1, 2, 3, 2, 1), ("NotClosed: starts 0, ends 1",)),
+    ])
+    def test_tour(self, walk, violations):
+        assert verify_tour(Tour(walk), C4) == CheckReport(not violations, violations)
+
+    @pytest.mark.parametrize("paths, violations", [
+        (((0, 1), (3, 2)), ()),
+        (((0,), (2,), (1,), (3,)), ()),
+        (((3, 0, 1, 2),), ()),
+        (((0, 1), (1, 2), (3,)), ("VertexReuse: 1",)),
+        (((0, 1), (1, 2)), ("VertexReuse: 1", "UncoveredVertex: 3")),
+        (((0, 1, 2, 3), (-1,)), ("IndexOutOfRange: -1",)),
+        (((0, 1, 2), (-1,)), ("IndexOutOfRange: -1", "UncoveredVertex: 3")),
+        (((1, 3), (0, 2)), ("NonEdge: (1, 3)", "NonEdge: (0, 2)")),
+    ])
+    def test_path_factor(self, paths, violations):
+        assert verify_path_factor(PathFactor(paths), C4) == CheckReport(not violations, violations)
