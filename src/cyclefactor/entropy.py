@@ -14,11 +14,10 @@ matching counts gives every tally and loss term with its weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import BadParameters, SizeLimitExceeded
 from .exact import entropy_loss
-from .graphs import RegularDigraph
+from .graphs import Record, RegularDigraph
 
 __all__ = [
     "REVEAL_MAX_N",
@@ -58,14 +57,16 @@ def shannon_entropy(probs) -> float:
     return _entropy(_validate(probs))
 
 
-@dataclass(frozen=True)
-class SkewCheck:
+class SkewCheck(Record):
     """max_p <= 2/s + ell, where ell = log2(s) - H(X)."""
 
-    max_p: float
-    ell: float
-    bound: float
-    holds: bool
+    __slots__ = _fields = ("max_p", "ell", "bound", "holds")
+
+    def __init__(self, max_p: float, ell: float, bound: float, holds: bool):
+        object.__setattr__(self, "max_p", max_p)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "holds", holds)
 
 
 def check_skew_lemma(probs) -> SkewCheck:
@@ -82,8 +83,7 @@ def check_skew_lemma(probs) -> SkewCheck:
     return SkewCheck(max_p, ell, bound, max_p <= bound + _SLACK)
 
 
-@dataclass(frozen=True)
-class RevealAuditReport:
+class RevealAuditReport(Record):
     """Exhaustive audit of the reveal process over all vertex orders.
 
     For every arc (i, c), s, the count of out-neighbours of i still unused
@@ -99,12 +99,18 @@ class RevealAuditReport:
     depend on the order of the terms.
     """
 
-    n: int
-    d: int
-    uniform: bool
-    tally_failures: tuple[str, ...]
-    aggregated_loss: float
-    direct_loss: float
+    __slots__ = _fields = ("n", "d", "uniform", "tally_failures", "aggregated_loss", "direct_loss")
+
+    def __init__(
+        self, n: int, d: int, uniform: bool, tally_failures: tuple[str, ...],
+        aggregated_loss: float, direct_loss: float
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "uniform", uniform)
+        object.__setattr__(self, "tally_failures", tally_failures)
+        object.__setattr__(self, "aggregated_loss", aggregated_loss)
+        object.__setattr__(self, "direct_loss", direct_loss)
 
     @property
     def loss_gap(self) -> float:

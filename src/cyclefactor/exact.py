@@ -17,11 +17,10 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeLimitExceeded
-from .graphs import RegularDigraph, in_rows
+from .graphs import Record, RegularDigraph, in_rows
 
 __all__ = [
     "MAX_STATES",
@@ -44,26 +43,34 @@ MAX_STATES = 1 << 20
 CENSUS_MAX_STATES = 1 << 20
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(Record):
     """One audited inequality: lhs <= rhs (or >=), with its verdict."""
 
-    name: str
-    lhs: float
-    rhs: float
-    holds: bool
+    __slots__ = _fields = ("name", "lhs", "rhs", "holds")
+
+    def __init__(self, name: str, lhs: float, rhs: float, holds: bool):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "holds", holds)
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Record):
     """Exact quantities for one instance, plus the bound-audit verdicts."""
 
-    n: int
-    d: int
-    matching_count: int
-    expected_cycles: Fraction
-    entropy_loss: float
-    bound_audit: tuple[BoundCheck, ...]
+    __slots__ = _fields = (
+        "n", "d", "matching_count", "expected_cycles", "entropy_loss", "bound_audit")
+
+    def __init__(
+        self, n: int, d: int, matching_count: int, expected_cycles: Fraction,
+        entropy_loss: float, bound_audit: tuple[BoundCheck, ...]
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "matching_count", matching_count)
+        object.__setattr__(self, "expected_cycles", expected_cycles)
+        object.__setattr__(self, "entropy_loss", entropy_loss)
+        object.__setattr__(self, "bound_audit", bound_audit)
 
     @property
     def all_bounds_hold(self) -> bool:

@@ -1,12 +1,13 @@
 """Graph data types, validation, generators, and the on-disk text format.
 
 All graphs use 0-based vertex indices and store adjacency rows strictly
-increasing, so structural equality of the dataclasses is canonical graph
-equality. Directed graphs may contain loops and digons but never parallel
-edges; undirected graphs are always simple. An undirected graph is stored
-as the digraph with both directions of every edge, so it is a
-``RegularDigraph`` too. Graphs check these invariants once, when built,
-so a graph that exists is valid.
+increasing, so equality of graph records, which compares the type, n, d
+and the rows, is canonical graph equality. Directed graphs may contain
+loops and digons but never parallel edges; undirected graphs are always
+simple. An undirected graph is stored as the digraph with both
+directions of every edge, so it is a ``RegularDigraph`` too. Graphs
+check these invariants once, when built, so a graph that exists is
+valid.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import chain
-from operator import contains
+from operator import attrgetter, contains
 from pathlib import Path
 
 from .errors import BadParameters, GraphError, ParseError
@@ -37,23 +37,64 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RegularDigraph:
+class Record:
+    """A frozen record. ``__init__`` sets each slot once, with
+    ``object.__setattr__``; after that, assigning or deleting one raises
+    AttributeError. The slots named in ``_fields`` are its value: records
+    of the exact same class are equal when their values are, and the value
+    is hashed, shown by ``repr`` and passed to ``__init__`` by pickle in
+    that order."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # Positional match patterns take the fields in order, and so does
+        # _value(record), their tuple; attrgetter of one name gives the
+        # bare value.
+        cls.__match_args__ = cls._fields
+        get = attrgetter(*cls._fields)
+        cls._value = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._value(self) == other._value(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._value(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._value(self)
+
+
+class RegularDigraph(Record):
     """A d-regular directed graph on n vertices.
 
     Every vertex has out-degree and in-degree exactly d. Loops and digons
     are permitted; parallel edges are not. ``out_adj[i]`` is the strictly
     increasing tuple of out-neighbours of vertex ``i``; ``in_adj`` is the
     transpose, built by the check that raises when any of this is broken
-    (``require_valid``).
+    (``require_valid``). ``in_adj`` is not part of the value.
     """
 
-    n: int
-    d: int
-    out_adj: tuple[tuple[int, ...], ...]
-    in_adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _fields = ("n", "d", "out_adj")
+    __slots__ = _fields + ("in_adj",)
 
-    def __post_init__(self):
+    def __init__(self, n: int, d: int, out_adj: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "out_adj", out_adj)
         object.__setattr__(self, "in_adj", require_valid(self))
 
     @classmethod
@@ -66,13 +107,14 @@ class RegularDigraph:
         return k < len(row) and row[k] == v
 
 
-@dataclass(frozen=True)
 class UndirectedRegularGraph(RegularDigraph):
     """A simple d-regular undirected graph, stored as its doubled digraph:
     ``out_adj[i]`` is the strictly increasing tuple of neighbours of ``i``.
     Its rows are symmetric, so ``in_adj`` is ``out_adj``, the same object.
     Building one that breaks any of this raises (see ``require_valid``).
     It never equals a ``RegularDigraph``."""
+
+    __slots__ = ()
 
     def is_connected(self) -> bool:
         seen = [False] * self.n
@@ -89,8 +131,7 @@ class UndirectedRegularGraph(RegularDigraph):
         return count == self.n
 
 
-@dataclass(frozen=True)
-class CycleFactor:
+class CycleFactor(Record):
     """A cycle-factor: a permutation sigma whose arcs all lie in the graph.
 
     ``cycles`` is the cycle decomposition of sigma; loops count as
@@ -98,8 +139,11 @@ class CycleFactor:
     sorted by that vertex, so equal factors compare equal.
     """
 
-    sigma: tuple[int, ...]
-    cycles: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("sigma", "cycles")
+
+    def __init__(self, sigma: tuple[int, ...], cycles: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "cycles", cycles)
 
     @classmethod
     def from_sigma(cls, sigma) -> "CycleFactor":

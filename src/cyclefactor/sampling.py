@@ -15,11 +15,10 @@ import os
 import random
 import threading
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import BadParameters, SizeLimitExceeded, StepBudgetExhausted
 from .exact import MAX_STATES, completion_levels
-from .graphs import CycleFactor, RegularDigraph
+from .graphs import CycleFactor, Record, RegularDigraph
 
 __all__ = [
     "EXACT_MAX_N",
@@ -70,31 +69,36 @@ def _heads(getrandbits, flips: int) -> int:
     return heads + getrandbits(flips).bit_count()
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(Record):
     """Knobs for the samplers, checked when built; ``auto`` picks exact
     when n <= EXACT_MAX_N."""
 
-    backend: str = "auto"  # exact | mcmc | auto
-    mcmc_steps: int | None = None  # default 20 * n * d * max(1, ceil(log2 n))
-    num_samples: int | None = None  # default max(10, ceil(4 * log2 n))
-    seed: int = 0
+    __slots__ = _fields = ("backend", "mcmc_steps", "num_samples", "seed")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        backend: str = "auto",  # exact | mcmc | auto
+        mcmc_steps: int | None = None,  # default 20 * n * d * max(1, ceil(log2 n))
+        num_samples: int | None = None,  # default max(10, ceil(4 * log2 n))
+        seed: int = 0,
+    ):
         # None leaves a budget to its default; a bool is not an integer here.
-        for name in ("mcmc_steps", "num_samples", "seed"):
-            value = getattr(self, name)
+        for name, value in (("mcmc_steps", mcmc_steps), ("num_samples", num_samples), ("seed", seed)):
             if type(value) is not int and (value is not None or name == "seed"):
                 raise BadParameters(f"{name} must be an integer, got {value!r}")
-        if self.backend not in ("auto", "exact", "mcmc"):
-            raise BadParameters(f"unknown backend {self.backend!r}")
-        if self.mcmc_steps is not None and self.mcmc_steps < 1:
+        if backend not in ("auto", "exact", "mcmc"):
+            raise BadParameters(f"unknown backend {backend!r}")
+        if mcmc_steps is not None and mcmc_steps < 1:
             raise BadParameters("mcmc_steps must be positive")
-        if self.num_samples is not None and self.num_samples < 1:
+        if num_samples is not None and num_samples < 1:
             raise BadParameters("num_samples must be positive")
         # derive_seed reduces mod 2^64, so a seed outside would replay another.
-        if not 0 <= self.seed <= _MASK64:
-            raise BadParameters(f"need 0 <= seed < 2**64, got seed={self.seed}")
+        if not 0 <= seed <= _MASK64:
+            raise BadParameters(f"need 0 <= seed < 2**64, got seed={seed}")
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "mcmc_steps", mcmc_steps)
+        object.__setattr__(self, "num_samples", num_samples)
+        object.__setattr__(self, "seed", seed)
 
     def resolve_backend(self, n: int) -> str:
         if self.backend == "auto":
@@ -359,13 +363,15 @@ class MCMCFactorSampler:
         )
 
 
-@dataclass(frozen=True)
-class MinFactorResult:
+class MinFactorResult(Record):
     """Best of k independent draws, with every draw's cycle count."""
 
-    factor: CycleFactor
-    cycle_counts: tuple[int, ...]
-    backend: str
+    __slots__ = _fields = ("factor", "cycle_counts", "backend")
+
+    def __init__(self, factor: CycleFactor, cycle_counts: tuple[int, ...], backend: str):
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "cycle_counts", cycle_counts)
+        object.__setattr__(self, "backend", backend)
 
     @property
     def best_count(self) -> int:

@@ -11,12 +11,11 @@ gives a closed tour of length at most n + 2(c - 1).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain
 from operator import contains, itemgetter
 
 from .errors import BadParameters
-from .graphs import CycleFactor, UndirectedRegularGraph
+from .graphs import CycleFactor, Record, UndirectedRegularGraph
 
 __all__ = [
     "PathFactor",
@@ -30,34 +29,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PathFactor:
+class PathFactor(Record):
     """Vertex-disjoint paths covering all vertices; singletons allowed."""
 
-    paths: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("paths",)
+
+    def __init__(self, paths: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "paths", paths)
 
     @property
     def num_paths(self) -> int:
         return len(self.paths)
 
 
-@dataclass(frozen=True)
-class Tour:
+class Tour(Record):
     """Closed walk visiting every vertex; length counts edge traversals."""
 
-    walk: tuple[int, ...]
+    __slots__ = _fields = ("walk",)
+
+    def __init__(self, walk: tuple[int, ...]):
+        object.__setattr__(self, "walk", walk)
 
     @property
     def length(self) -> int:
         return len(self.walk) - 1
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Structured verdict from an independent checker; never raised."""
 
-    ok: bool
-    violations: tuple[str, ...] = ()
+    __slots__ = _fields = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[str, ...] = ()):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violations", violations)
 
 
 def to_undirected_cycle_factor(

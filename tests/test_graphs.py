@@ -1,8 +1,10 @@
 import hashlib
 import itertools
+import pickle
 import random
 from bisect import bisect_left
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from scipy.stats import chisquare
@@ -22,6 +24,10 @@ from cyclefactor.graphs import (
     to_bipartite,
     write_graph,
 )
+from cyclefactor.entropy import RevealAuditReport, SkewCheck
+from cyclefactor.exact import BoundCheck, OracleReport
+from cyclefactor.sampling import MinFactorResult, SamplerConfig
+from cyclefactor.transforms import CheckReport, PathFactor, Tour
 from switch_chain import switch_chain
 
 
@@ -240,6 +246,11 @@ class TestToBipartite:
         assert hash(g) == hash((3, 1, g.out_adj))
         with pytest.raises(TypeError):
             RegularDigraph(3, 1, ((1,), (2,), (0,)), ((2,), (0,), (1,)))
+        h = RegularDigraph(3, 1, g.out_adj)
+        object.__setattr__(h, "in_adj", ())
+        assert h == g
+        with pytest.raises(AttributeError):
+            g.in_adj = ()
 
 
 class TestDoubleUndirected:
@@ -602,3 +613,72 @@ class TestParseFaults:
     def test_header_line_counts_leading_comments(self):
         with pytest.raises(ParseError, match=r"^line 3: expected 2 adjacency lines, found 1$"):
             parse_graph("# one\n\ngraph 2 1\n1\n")
+
+
+_BOUND = BoundCheck("upper", 2.0, 3.5, True)
+_FACTOR = CycleFactor((1, 0, 2), ((0, 1), (2,)))
+# Each record class: its fields in order, one field changed, and its repr.
+RECORDS = [
+    (RegularDigraph, {"n": 3, "d": 1, "out_adj": ((1,), (2,), (0,))},
+     {"out_adj": ((2,), (0,), (1,))},
+     "RegularDigraph(n=3, d=1, out_adj=((1,), (2,), (0,)))"),
+    (UndirectedRegularGraph, {"n": 3, "d": 2, "out_adj": ((1, 2), (0, 2), (0, 1))},
+     {"n": 4, "out_adj": ((1, 3), (0, 2), (1, 3), (0, 2))},
+     "UndirectedRegularGraph(n=3, d=2, out_adj=((1, 2), (0, 2), (0, 1)))"),
+    (CycleFactor, {"sigma": (1, 0, 2), "cycles": ((0, 1), (2,))},
+     {"cycles": ((0, 1, 2),)},
+     "CycleFactor(sigma=(1, 0, 2), cycles=((0, 1), (2,)))"),
+    (BoundCheck, {"name": "upper", "lhs": 2.0, "rhs": 3.5, "holds": True},
+     {"holds": False},
+     "BoundCheck(name='upper', lhs=2.0, rhs=3.5, holds=True)"),
+    (OracleReport, {"n": 3, "d": 1, "matching_count": 1, "expected_cycles": Fraction(1, 3),
+                    "entropy_loss": 0.0, "bound_audit": (_BOUND,)},
+     {"expected_cycles": Fraction(2, 3)},
+     "OracleReport(n=3, d=1, matching_count=1, expected_cycles=Fraction(1, 3), entropy_loss=0.0, "
+     "bound_audit=(BoundCheck(name='upper', lhs=2.0, rhs=3.5, holds=True),))"),
+    (SkewCheck, {"max_p": 0.5, "ell": 0.0, "bound": 1.0, "holds": True},
+     {"ell": 0.25},
+     "SkewCheck(max_p=0.5, ell=0.0, bound=1.0, holds=True)"),
+    (RevealAuditReport, {"n": 3, "d": 1, "uniform": True, "tally_failures": (),
+                         "aggregated_loss": 0.0, "direct_loss": 0.0},
+     {"tally_failures": ("arc (0, 1)",)},
+     "RevealAuditReport(n=3, d=1, uniform=True, tally_failures=(), aggregated_loss=0.0, direct_loss=0.0)"),
+    (SamplerConfig, {"backend": "mcmc", "mcmc_steps": 10, "num_samples": 2, "seed": 3},
+     {"seed": 4},
+     "SamplerConfig(backend='mcmc', mcmc_steps=10, num_samples=2, seed=3)"),
+    (MinFactorResult, {"factor": _FACTOR, "cycle_counts": (2, 3), "backend": "exact"},
+     {"backend": "mcmc"},
+     "MinFactorResult(factor=CycleFactor(sigma=(1, 0, 2), cycles=((0, 1), (2,))), "
+     "cycle_counts=(2, 3), backend='exact')"),
+    (PathFactor, {"paths": ((0, 1), (2,))}, {"paths": ((0, 1, 2),)}, "PathFactor(paths=((0, 1), (2,)))"),
+    (Tour, {"walk": (0, 1, 2, 0)}, {"walk": (0, 2, 1, 0)}, "Tour(walk=(0, 1, 2, 0))"),
+    (CheckReport, {"ok": False, "violations": ("bad",)}, {"violations": ()},
+     "CheckReport(ok=False, violations=('bad',))"),
+]
+
+
+class TestRecords:
+    """Every frozen record class compares, hashes, shows and pickles its
+    value fields, in order, and refuses assignment."""
+
+    @pytest.mark.parametrize("cls,fields,change,text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+    def test_value_semantics(self, cls, fields, change, text):
+        rec = cls(*fields.values())
+        assert cls(**fields) == rec and not cls(**fields) != rec
+        assert cls(**{**fields, **change}) != rec
+        assert hash(rec) == hash(tuple(fields.values()))
+        assert repr(rec) == text
+        assert pickle.loads(pickle.dumps(rec, pickle.HIGHEST_PROTOCOL)) == rec
+        # Equality needs the exact class, not a subclass with the same value.
+        assert type("Sub", (cls,), {})(**fields) != rec
+        for name, value in fields.items():
+            assert getattr(rec, name) == value
+            with pytest.raises(AttributeError):
+                setattr(rec, name, value)
+            with pytest.raises(AttributeError):
+                delattr(rec, name)
+
+    def test_defaults(self):
+        assert CheckReport(True) == CheckReport(ok=True, violations=())
+        assert SamplerConfig(seed=3) == SamplerConfig("auto", None, None, 3)
+        assert SamplerConfig() == SamplerConfig(seed=0)

@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,6 +26,17 @@ def test_package_imports_only_the_standard_library():
                 if top not in sys.stdlib_module_names and top != "cyclefactor":
                     foreign.add(f"{path.name}: {name}")
     assert not foreign, sorted(foreign)
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # Each CLI process pays for every module that importing the CLI loads;
+    # dataclasses alone pulled in inspect, ast, dis and tokenize. -S keeps
+    # any site hook from loading or hiding a module.
+    code = "import sys, cyclefactor.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def _uses(tree, name):
