@@ -138,14 +138,17 @@ def reveal_audit(g: RegularDigraph) -> RevealAuditReport:
         level = nxt
     full = (1 << n) - 1
     count = pairs[full, full]
-    n_fact = math.factorial(n)
+    fact = [math.factorial(k) for k in range(n + 1)]
 
-    # Vertex i comes up right after the set P in `weight` of the n! orders.
+    # Vertex i comes up right after the set P in |P|! (n - 1 - |P|)! of
+    # the n! orders, and `scale` is that weight times pairs[P, S].
     # The factors with image S on P form pairs[P, S] groups of
     # pairs[P^c, S^c]; in each, sigma(i) = c in pairs[P^c - i, S^c - c] of
     # them, and s, the out-neighbours of i not in S, is the same for all.
-    # tallies[i, c][s - 1] adds weight once per factor with sigma(i) = c.
-    tallies = {(i, c): [0] * d for i in range(n) for c in g.out_adj[i]}
+    # tallies[a][s - 1] adds the weight once per factor taking arc a = (i, c).
+    arcs = [(i, c) for i in range(n) for c in g.out_adj[i]]
+    row_arcs = [[(a, 1 << c) for a, (j, c) in enumerate(arcs) if j == i] for i in range(n)]
+    tallies = [[0] * d for _ in arcs]
     terms = []
     for (prefix, image), groups in pairs.items():
         rest, free = full ^ prefix, full ^ image
@@ -153,21 +156,22 @@ def reveal_audit(g: RegularDigraph) -> RevealAuditReport:
         if not rest or not size:
             continue
         k = prefix.bit_count()
-        weight = math.factorial(k) * math.factorial(n - 1 - k)
-        for i in range(n):
-            if prefix >> i & 1:
-                continue
-            open_cols = [c for c in g.out_adj[i] if free >> c & 1]
-            ways = [pairs.get((rest ^ 1 << i, free ^ 1 << c), 0) for c in open_cols]
-            s = len(open_cols)
-            h = _entropy(w / size for w in ways)
-            terms.append(weight * groups * size * (math.log2(s) - h))
-            for c, w in zip(open_cols, ways):
-                tallies[i, c][s - 1] += weight * groups * w
+        scale = fact[k] * fact[n - 1 - k] * groups
+        todo = rest
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            open_arcs = [arc for arc in row_arcs[low.bit_length() - 1] if free & arc[1]]
+            ways = [pairs.get((rest ^ low, free ^ bit), 0) for _, bit in open_arcs]
+            s = len(open_arcs)
+            h = -sum(w / size * math.log2(w / size) for w in ways if w)  # _entropy's float
+            terms.append(scale * size * (math.log2(s) - h))
+            for (a, _), w in zip(open_arcs, ways):
+                tallies[a][s - 1] += scale * w
 
     failures = []
-    for (i, c), tally in tallies.items():
-        expected = pairs.get((full ^ 1 << i, full ^ 1 << c), 0) * n_fact // d
+    for (i, c), tally in zip(arcs, tallies):
+        expected = pairs.get((full ^ 1 << i, full ^ 1 << c), 0) * fact[n] // d
         if any(t != expected for t in tally):
             failures.append(f"arc ({i}, {c}): tally {tally} != {expected} each")
     return RevealAuditReport(
@@ -175,6 +179,6 @@ def reveal_audit(g: RegularDigraph) -> RevealAuditReport:
         d=d,
         uniform=not failures,
         tally_failures=tuple(failures),
-        aggregated_loss=math.fsum(terms) / (n_fact * count),
+        aggregated_loss=math.fsum(terms) / (fact[n] * count),
         direct_loss=entropy_loss(g, count),
     )

@@ -1,13 +1,13 @@
 """Exact counting and expectation machinery.
 
 One counting pass over column sets (``completion_levels``, rows pushed
-in frontier order, sets that leave a closed column free dropped, exact
-big integers, bounded by MAX_STATES states per level), a dynamic
-programme over cycles in canonical order that gives the law of the
-cycle count (the number of factors with each cycle count) without
-listing factors (``cycle_law``, bounded by CENSUS_MAX_STATES states
-held), exact expected cycle count as a rational, the matching-count
-bound audits, and the entropy-loss ledger.
+in the order that keeps the fewest columns open, sets that leave a
+closed column free dropped, exact big integers, bounded by MAX_STATES
+states per level), a dynamic programme over cycles in canonical order
+that gives the law of the cycle count (the number of factors with each
+cycle count) without listing factors (``cycle_law``, bounded by
+CENSUS_MAX_STATES states held), exact expected cycle count as a
+rational, the matching-count bound audits, and the entropy-loss ledger.
 The two state budgets are the only limits: no instance is refused for
 its number of factors.
 """
@@ -98,54 +98,68 @@ class OracleReport(Record):
 
 
 def _frontier_order(out_adj) -> list[int]:
-    """Rows in push order: next comes the row with the most columns
-    already touched by the rows before it, ties to the lowest index.
+    """Rows in push order: next comes the row whose push grows the open
+    columns least, open meaning touched by a pushed row with an in-row
+    not yet pushed: the columns it touches first less the columns whose
+    last unpushed in-row it is. Ties go to the most columns already
+    touched, then to the lowest index.
 
-    A heap of (-score, row), with one entry per score a row reaches; an
-    entry whose row's score has since grown is skipped when popped, so
-    each row is taken once. O(n d log n).
+    The key (growth + w) (w + 1) n + (w - touched) n + row, w the longest
+    row, orders rows so; a heap holds one key per lowering. A push lowers
+    only the keys of the rows next to a column it touches first or leaves
+    one unpushed in-row, so only a row's newest key matches it, and the
+    others are skipped when popped. O(n d^2 log n).
     """
     n = len(out_adj)
     in_adj = in_rows(out_adj)
-    score = [0] * n
-    pushed = [False] * n
-    touched = [False] * n
-    heap = [(0, r) for r in range(n)]
+    unpushed = [len(rows) for rows in in_adj]
+    w = max(map(len, out_adj), default=0)
+    step = (w + 1) * n
+    key = [(len(row) + w) * step + w * n + r for r, row in enumerate(out_adj)]
+    for rows in in_adj:
+        if len(rows) == 1:  # its one in-row closes it as it touches it
+            key[rows[0]] -= step
+    heap = sorted(key)
     order = []
     while heap:
-        s, r = heapq.heappop(heap)
-        if -s != score[r]:
+        k = heapq.heappop(heap)
+        r = k % n
+        if k != key[r]:
             continue
-        pushed[r] = True
+        key[r] = -1  # pushed: never lowered again
         order.append(r)
         for c in out_adj[r]:
-            if touched[c]:
-                continue
-            touched[c] = True
-            for r2 in in_adj[c]:
-                if not pushed[r2]:
-                    score[r2] += 1
-                    heapq.heappush(heap, (-score[r2], r2))
+            unpushed[c] -= 1
+            first = unpushed[c] + 1 == len(in_adj[c])
+            drop = (first + (unpushed[c] == 1)) * step + first * n
+            if drop:
+                for r2 in in_adj[c]:
+                    if key[r2] >= 0:
+                        key[r2] -= drop
+                        heapq.heappush(heap, key[r2])
     return order
 
 
 def completion_levels(out_adj):
     """Yield ``(row, level)``: first ``(None, {all columns: 1})``, then one
-    pair per row pushed, in the frontier order of ``_frontier_order``
-    (row r may take the columns in ``out_adj[r]``). A level maps a column
-    set ``left`` to the number of matchings of the rows pushed so far onto
+    pair per row pushed, in the order of ``_frontier_order`` (row r may
+    take the columns in ``out_adj[r]``). A level maps a column set
+    ``left`` to the number of matchings of the rows pushed so far onto
     exactly the columns outside ``left``; the popcount of ``left`` is k,
     the number of rows still to push. Each level is pushed down from the
     one before and keeps only nonzero entries that leave no closed column
     free: a column is closed once its last in-row (in push order) has
     been pushed, and a set that leaves it free completes to no matching.
-    So the last level is {0: permanent}, or empty. Raises
-    SizeLimitExceeded as soon as a level holds more than MAX_STATES sets.
+    So a row that closes columns must take the one its set holds: a set
+    holding two is dropped. The last level is {0: permanent}, or empty.
+    Raises SizeLimitExceeded as soon as a level holds more than
+    MAX_STATES sets.
 
-    Sets in a level differ only in columns some pushed row can take and
-    no closed column, and the frontier order adds such columns slowly,
-    which keeps levels narrow (doubled C40: 79 entries in all, at most 2
-    per level; 421 and 20 with the sets that leave a closed column free).
+    Sets in a level differ only in open columns, touched by a pushed row
+    and not closed, and the push order keeps few of them open, which
+    keeps levels narrow (doubled C40: 79 entries in all, at most 2 per
+    level; 421 and 20 with the sets that leave a closed column free;
+    random 48/3 seed 1: 99,653).
     """
     n = len(out_adj)
     order = _frontier_order(out_adj)
@@ -160,12 +174,14 @@ def completion_levels(out_adj):
         must = closes[row]
         nxt: dict[int, int] = {}
         for left, ways in level.items():
-            for bit in bits:
-                if left & bit:
-                    key = left ^ bit
-                    if key & must:
-                        continue
-                    nxt[key] = nxt.get(key, 0) + ways
+            hit = left & must
+            if hit:
+                if not hit & (hit - 1):
+                    nxt[left ^ hit] = nxt.get(left ^ hit, 0) + ways
+            else:
+                for bit in bits:
+                    if left & bit:
+                        nxt[left ^ bit] = nxt.get(left ^ bit, 0) + ways
             if len(nxt) > MAX_STATES:
                 raise SizeLimitExceeded(f"counting level {k} holds over {MAX_STATES} column sets")
         level = nxt

@@ -116,11 +116,11 @@ class TestVerify:
 
     def test_infeasible_size(self, tmp_path, capsys):
         # Dense enough that the counting pass, dead sets dropped, still
-        # runs past its budget (about 1.5 s).
+        # runs past its budget (about 1.5 s), with 18 rows left to push.
         path = tmp_path / "g.digraph"
         run(capsys, "gen", "random", "--n", 30, "--d", 6, "--seed", 1, "--out", path)
         got = run(capsys, "verify", path)
-        assert got == (3, "", "infeasible: counting level 20 holds over 1048576 column sets;"
+        assert got == (3, "", "infeasible: counting level 18 holds over 1048576 column sets;"
                               " try the sampling subcommands instead\n")
 
     def test_complete_loops_past_old_factor_cap(self, tmp_path, capsys):

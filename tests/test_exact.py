@@ -132,11 +132,27 @@ class TestFrontierOrder:
             assert permanent(h) == brute_force_permanent(h) == sum(1 for _ in iter_factor_sigmas(g))
             checked += 1
 
-    def test_order_is_greedy_on_touched_columns(self):
-        # Row 0 touches columns 1 and 39; rows 2 and 38 then tie at one
-        # touched column each, and the lower index goes first.
-        doubled = double_undirected(gen_family("cycle", 40, 2))
-        assert exact._frontier_order(doubled.out_adj)[:4] == [0, 2, 4, 6]
+    def test_order_keeps_the_fewest_columns_open(self):
+        # After rows 0 and 1 the open columns are 0, 1, 3 and 4, and rows
+        # 2, 3 and 4 each have two columns touched, so the old rule (most
+        # touched, lowest index) pushed row 2 next, opening column 2. Row 3
+        # opens column 2 too, but it is the last in-row of columns 3 and 4
+        # and closes them: three columns stay open, not five.
+        rows = ((0, 3, 4), (1, 3, 4), (0, 1, 2), (2, 3, 4), (0, 1, 2))
+        assert exact._frontier_order(rows) == [0, 1, 3, 2, 4]
+        assert permanent(rows) == brute_force_permanent(rows)
+
+    def test_order_matches_a_direct_scan(self):
+        rng = random.Random(32)
+        for _ in range(40):
+            n = rng.randint(2, 14)
+            g = gen_random_regular_digraph(n, rng.randint(1, min(n, 4)), rng.randrange(10**6))
+            assert exact._frontier_order(g.out_adj) == scanned_order(g.out_adj)
+        # Rows of unequal length, and columns with a single in-row: row 1
+        # goes first in the second, as it touches and closes column 3.
+        for rows in (((0, 1), (1,), (1, 2, 3), (0, 3), (4, 5), (2, 4)),
+                     ((0, 1), (2, 3), (0, 1, 2), (0, 1, 2))):
+            assert exact._frontier_order(rows) == scanned_order(rows)
 
     def test_doubled_c40_fits_a_narrow_budget(self, monkeypatch):
         # Frontier order with dead sets dropped needs 79 table entries
@@ -160,8 +176,28 @@ class TestFrontierOrder:
         # (11, 7, 1, 10, 0, 2, 9, 6, 4, 3, 8, 5)).
         g = gen_random_regular_digraph(12, 3, 5)
         cf = ExactFactorSampler(g).sample(random.Random(0))
-        assert cf.sigma == (11, 8, 7, 9, 6, 10, 2, 0, 5, 3, 4, 1)
+        assert cf.sigma == (5, 7, 8, 10, 0, 2, 9, 6, 3, 11, 4, 1)
         assert cf.is_factor_of(g)
+
+
+def scanned_order(out_adj):
+    """The push order by its rule, every unpushed row rescored at each
+    step: least growth of the open columns (columns touched first less
+    columns whose last unpushed in-row it is), then most columns already
+    touched, then lowest index."""
+    rest = set(range(len(out_adj)))
+    touched = set()
+    order = []
+    while rest:
+        def key(r):
+            closes = sum(all(c not in out_adj[r2] for r2 in rest - {r}) for c in out_adj[r])
+            new = len(set(out_adj[r]) - touched)
+            return new - closes, new - len(out_adj[r]), r
+        row = min(rest, key=key)
+        rest.remove(row)
+        touched.update(out_adj[row])
+        order.append(row)
+    return order
 
 
 def unpruned_levels(out_adj):
