@@ -62,12 +62,6 @@ class SkewCheck(Record):
 
     __slots__ = _fields = ("max_p", "ell", "bound", "holds")
 
-    def __init__(self, max_p: float, ell: float, bound: float, holds: bool):
-        object.__setattr__(self, "max_p", max_p)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "holds", holds)
-
 
 def check_skew_lemma(probs) -> SkewCheck:
     """Check the entropy-skew bound for one distribution.
@@ -100,17 +94,6 @@ class RevealAuditReport(Record):
     """
 
     __slots__ = _fields = ("n", "d", "uniform", "tally_failures", "aggregated_loss", "direct_loss")
-
-    def __init__(
-        self, n: int, d: int, uniform: bool, tally_failures: tuple[str, ...],
-        aggregated_loss: float, direct_loss: float
-    ):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "uniform", uniform)
-        object.__setattr__(self, "tally_failures", tally_failures)
-        object.__setattr__(self, "aggregated_loss", aggregated_loss)
-        object.__setattr__(self, "direct_loss", direct_loss)
 
     @property
     def loss_gap(self) -> float:

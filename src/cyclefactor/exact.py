@@ -48,29 +48,12 @@ class BoundCheck(Record):
 
     __slots__ = _fields = ("name", "lhs", "rhs", "holds")
 
-    def __init__(self, name: str, lhs: float, rhs: float, holds: bool):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "holds", holds)
-
 
 class OracleReport(Record):
     """Exact quantities for one instance, plus the bound-audit verdicts."""
 
     __slots__ = _fields = (
         "n", "d", "matching_count", "expected_cycles", "entropy_loss", "bound_audit")
-
-    def __init__(
-        self, n: int, d: int, matching_count: int, expected_cycles: Fraction,
-        entropy_loss: float, bound_audit: tuple[BoundCheck, ...]
-    ):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "matching_count", matching_count)
-        object.__setattr__(self, "expected_cycles", expected_cycles)
-        object.__setattr__(self, "entropy_loss", entropy_loss)
-        object.__setattr__(self, "bound_audit", bound_audit)
 
     @property
     def all_bounds_hold(self) -> bool:

@@ -7,7 +7,8 @@ loops and digons but never parallel edges; undirected graphs are always
 simple. An undirected graph is stored as the digraph with both
 directions of every edge, so it is a ``RegularDigraph`` too. Graphs
 check these invariants once, when built, so a graph that exists is
-valid.
+valid. ``Record``, the frozen base of every record type of the package,
+is here too, with the one constructor that binds their fields.
 """
 
 from __future__ import annotations
@@ -38,23 +39,35 @@ __all__ = [
 
 
 class Record:
-    """A frozen record. ``__init__`` sets each slot once, with
-    ``object.__setattr__``; after that, assigning or deleting one raises
-    AttributeError. The slots named in ``_fields`` are its value: records
-    of the exact same class are equal when their values are, and the value
-    is hashed, shown by ``repr`` and passed to ``__init__`` by pickle in
-    that order."""
+    """A frozen record. The slots named in ``_fields`` are its value:
+    ``__init__`` takes each of them once, by position in that order or by
+    keyword, and sets its slot with ``object.__setattr__``; after that,
+    assigning or deleting one raises AttributeError. Records of the exact
+    same class are equal when their values are, and the value is hashed,
+    shown by ``repr`` and passed to ``__init__`` by pickle in that order.
+    A subclass that checks, defaults or derives something defines its own
+    ``__init__`` and passes every field on to this one."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        # Positional match patterns take the fields in order, and so does
-        # _value(record), their tuple; attrgetter of one name gives the
-        # bare value.
-        cls.__match_args__ = cls._fields
+        # _value(record) is the tuple of the fields in order; attrgetter of
+        # one name gives the bare value.
         get = attrgetter(*cls._fields)
         cls._value = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __init__(self, *args, **kwargs):
+        # The keywords must name exactly the fields after the positionals:
+        # that refuses a missing, repeated or unknown field.
+        fields = self._fields
+        if len(args) > len(fields) or kwargs.keys() != set(fields[len(args):]):
+            raise TypeError(
+                f"{self.__class__.__qualname__}() takes the fields ({', '.join(fields)}), each once,"
+                f" got {len(args)} positional and the keywords ({', '.join(kwargs)})"
+            )
+        for name, value in chain(zip(fields, args), kwargs.items()):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -92,9 +105,7 @@ class RegularDigraph(Record):
     __slots__ = _fields + ("in_adj",)
 
     def __init__(self, n: int, d: int, out_adj: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "out_adj", out_adj)
+        super().__init__(n, d, out_adj)
         object.__setattr__(self, "in_adj", require_valid(self))
 
     @classmethod
@@ -140,10 +151,6 @@ class CycleFactor(Record):
     """
 
     __slots__ = _fields = ("sigma", "cycles")
-
-    def __init__(self, sigma: tuple[int, ...], cycles: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "cycles", cycles)
 
     @classmethod
     def from_sigma(cls, sigma) -> "CycleFactor":

@@ -96,10 +96,7 @@ class SamplerConfig(Record):
         # derive_seed reduces mod 2^64, so a seed outside would replay another.
         if not 0 <= seed <= _MASK64:
             raise BadParameters(f"need 0 <= seed < 2**64, got seed={seed}")
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "mcmc_steps", mcmc_steps)
-        object.__setattr__(self, "num_samples", num_samples)
-        object.__setattr__(self, "seed", seed)
+        super().__init__(backend, mcmc_steps, num_samples, seed)
 
     def resolve_backend(self, n: int) -> str:
         if self.backend == "auto":
@@ -368,11 +365,6 @@ class MinFactorResult(Record):
     """Best of k independent draws, with every draw's cycle count."""
 
     __slots__ = _fields = ("factor", "cycle_counts", "backend")
-
-    def __init__(self, factor: CycleFactor, cycle_counts: tuple[int, ...], backend: str):
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "cycle_counts", cycle_counts)
-        object.__setattr__(self, "backend", backend)
 
     @property
     def best_count(self) -> int:

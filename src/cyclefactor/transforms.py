@@ -34,9 +34,6 @@ class PathFactor(Record):
 
     __slots__ = _fields = ("paths",)
 
-    def __init__(self, paths: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "paths", paths)
-
     @property
     def num_paths(self) -> int:
         return len(self.paths)
@@ -46,9 +43,6 @@ class Tour(Record):
     """Closed walk visiting every vertex; length counts edge traversals."""
 
     __slots__ = _fields = ("walk",)
-
-    def __init__(self, walk: tuple[int, ...]):
-        object.__setattr__(self, "walk", walk)
 
     @property
     def length(self) -> int:
@@ -61,8 +55,7 @@ class CheckReport(Record):
     __slots__ = _fields = ("ok", "violations")
 
     def __init__(self, ok: bool, violations: tuple[str, ...] = ()):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "violations", violations)
+        super().__init__(ok, violations)
 
 
 def to_undirected_cycle_factor(

@@ -1,11 +1,12 @@
 import argparse
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from cyclefactor import cli, exact
+from cyclefactor import cli, exact, sampling
 from cyclefactor.cli import main
 from cyclefactor.graphs import (
     CycleFactor,
@@ -503,6 +504,102 @@ def test_verify_refused_at_counting_budget(tmp_path, capsys, monkeypatch):
     got = run(capsys, "verify", tmp_path / "k4.digraph")
     assert got == (3, "", "infeasible: counting level 2 holds over 5 column sets;"
                           " try the sampling subcommands instead\n")
+
+
+# Seeded mutation fuzz of every input path: any input ends in a documented
+# exit code and never in a traceback. Every graph file has n <= 12, and a
+# manifest's integers are at most 8, so no op allocates much, and k * steps
+# stays below SPLIT_MIN_STEPS, so no op forks.
+_FUZZ_GRAPHS = [
+    gen_family("complete_loops", 6, 3), gen_family("complete_loops", 12, 4),
+    gen_family("clique_union", 12, 3), gen_family("cycle", 7, 2), gen_family("cycle", 12, 2),
+    gen_family("complete_bipartite_like", 12, 3), gen_random_regular_digraph(6, 2, 1),
+    gen_random_regular_digraph(12, 3, 1),
+]
+_FUZZ_TOKENS = ["0", "1", "2", "3", "12", "-1", "1_0", "٣", "１", "9" * 30, "1.0",
+                "x", "digraph", "graph", "#", "\t", ""]
+_FUZZ_JSON = [None, True, 1.5, "x", "", [], {}, -1, 0, 1, 2, 3, 8, "cycle", "random",
+              "clique_union", "complete_loops", "complete_bipartite_like", "mcmc", "exact"]
+_FUZZ_FLAGS = {"--seed": [0, 1, -1, 2**64, "x"], "--samples": [1, 2, 3, 0, -2, "x"],
+               "--backend": ["exact", "mcmc", "auto", "bogus"], "--mcmc-steps": [1, 60, 0, "x"]}
+
+
+def _mutated_graph(rng: random.Random) -> bytes:
+    lines = graph_to_text(rng.choice(_FUZZ_GRAPHS)).split("\n")
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        op = rng.randrange(6)
+        if op == 0 and len(lines) > 1:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[i])
+        elif op == 2:
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == 3:
+            tokens = lines[i].split(" ")
+            tokens[rng.randrange(len(tokens))] = rng.choice(_FUZZ_TOKENS)
+            lines[i] = " ".join(tokens)
+        elif op == 4:
+            lines.insert(i, rng.choice(["# note", "", "  \t", "\x00"]))
+        else:
+            lines[i] += rng.choice([" # note", "\r", "\t", " "])
+    data = ("\r\n" if rng.random() < 0.1 else "\n").join(lines).encode()
+    if rng.random() < 0.1:
+        k = rng.randrange(len(data) + 1)
+        data = data[:k] + rng.choice([b"\xff", b"\xc3", b"\xe2\x82"]) + data[k:]
+    return data
+
+
+def _mutated_json(rng: random.Random, value, path: str):
+    """value with one random node replaced, dropped, or given an unknown
+    key; the graph file's path is among the values it may put in."""
+    if isinstance(value, (dict, list)) and value and rng.random() < 0.85:
+        keys = list(value) if isinstance(value, dict) else range(len(value))
+        key = rng.choice(keys)
+        value = value.copy()
+        if rng.random() < 0.15:
+            del value[key]
+        else:
+            value[key] = _mutated_json(rng, value[key], path)
+        return value
+    if isinstance(value, dict) and rng.random() < 0.3:
+        return {**value, rng.choice(["bogus", "path", "seed", "mcmc_steps"]): rng.choice(_FUZZ_JSON)}
+    return rng.choice(_FUZZ_JSON + [path])
+
+
+def test_fuzzed_inputs_end_in_an_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sampling, "_split_workers", lambda k: pytest.fail("an op would fork"))
+    rng = random.Random(1)
+    graph, manifest, results = tmp_path / "g.txt", tmp_path / "m.json", tmp_path / "r.ndjson"
+    base = {"config": {"seed": 1, "samples": 2},
+            "instances": [{"family": "cycle", "n": 8, "d": 2},
+                          {"family": "random", "n": 6, "d": 3, "seed": 1}, {"path": str(graph)}]}
+    bad = []
+    for case in range(2000):
+        graph.write_bytes(_mutated_graph(rng))
+        if case % 4 == 0:
+            manifest.write_text(json.dumps(_mutated_json(rng, base, str(graph))))
+            results.unlink(missing_ok=True)
+            argv = ["bench", str(manifest), "--out", str(results)]
+        else:
+            command = rng.choice(["verify", "cyclefactor", "pathfactor", "tour"])
+            argv = [command, str(graph)]
+            if command == "verify":
+                argv += ["--format", rng.choice(["json", "text"])]
+            else:
+                argv += ["--seed", "1", "--samples", "2"]
+                for flag in rng.sample(list(_FUZZ_FLAGS), rng.randint(0, 2)):
+                    argv += [flag, str(rng.choice(_FUZZ_FLAGS[flag]))]
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        except Exception as e:  # an exception past main is a traceback
+            code = repr(e)
+        err = capsys.readouterr().err
+        if code not in (0, 2, 3, 4) or "Traceback" in err:
+            bad.append((argv, graph.read_bytes(), code, err))
+    assert not bad, bad[:3]
 
 
 class TestBench:

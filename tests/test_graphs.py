@@ -673,6 +673,25 @@ class TestRecords:
             with pytest.raises(AttributeError):
                 delattr(rec, name)
 
+    @pytest.mark.parametrize("cls,fields", [r[:2] for r in RECORDS], ids=[r[0].__name__ for r in RECORDS])
+    def test_constructor_refusals(self, cls, fields):
+        # Each field is taken once, by position or keyword, as a plain
+        # signature takes it. Every SamplerConfig field has a default, so
+        # leaving one out is no error there.
+        values = tuple(fields.values())
+        first, *rest = fields
+        calls = [
+            ("one positional too many", values + values[-1:], {}),
+            ("a field both ways", values, {first: values[0]}),
+            ("an unknown keyword", values, {"bogus": 1}),
+        ]
+        if cls is not SamplerConfig:
+            calls.append(("a field missing", (), {name: fields[name] for name in rest}))
+        for what, args, kwargs in calls:
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+                pytest.fail(f"{cls.__name__} took {what}")
+
     def test_in_adj_is_never_compared(self):
         g = RegularDigraph(3, 1, ((1,), (2,), (0,)))
         h = RegularDigraph(3, 1, g.out_adj)

@@ -1,10 +1,12 @@
 import ast
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import cyclefactor
+from cyclefactor.graphs import Record
 
 PACKAGE = Path(cyclefactor.__file__).parent
 
@@ -74,3 +76,33 @@ def test_one_transpose_builder():
                 for node in _uses(tree, "UndirectedRegularGraph")
             ]
     assert not stray, stray
+
+
+def test_one_record_constructor():
+    # Record.__init__ sets every record's fields. The one other setter is
+    # RegularDigraph.__init__'s in_adj, the transpose, which is no field; a
+    # record that checks or defaults its fields passes them on to Record.
+    allowed = {
+        ("graphs.py", "Record", "__init__", "name"),
+        ("graphs.py", "RegularDigraph", "__init__", "'in_adj'"),
+    }
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        method = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for func in cls.body:
+                    method.update((id(node), (cls.name, getattr(func, "name", None))) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node).startswith("object.__setattr__(self,"):
+                where = (path.name, *method.get(id(node), (None, None)), ast.unparse(node.args[1]))
+                if where not in allowed:
+                    stray.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not stray, stray
+    own_init = sorted({
+        cls.__name__ for module in vars(cyclefactor).values() if inspect.ismodule(module)
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, Record) and "__init__" in vars(cls)
+    })
+    assert own_init == ["CheckReport", "Record", "RegularDigraph", "SamplerConfig"]
