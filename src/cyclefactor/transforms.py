@@ -54,9 +54,6 @@ class CheckReport(Record):
 
     __slots__ = _fields = ("ok", "violations")
 
-    def __init__(self, ok: bool, violations: tuple[str, ...] = ()):
-        super().__init__(ok, violations)
-
 
 def to_undirected_cycle_factor(
     cf: CycleFactor, g: UndirectedRegularGraph
@@ -115,125 +112,107 @@ def to_path_factor(
 def to_tour(cycles: tuple[tuple[int, ...], ...], g: UndirectedRegularGraph) -> Tour:
     """Stitch a cycle decomposition of a connected graph into a closed tour.
 
-    Each cycle is contracted to a supernode; a BFS spanning tree of the
-    contraction (rooted at the cycle containing vertex 0, neighbours in
-    vertex order) decides where to detour from a parent cycle into each
-    child cycle and back. The walk traverses every cycle once and every
-    tree edge twice, so its length is at most n + 2(c - 1). The BFS is the
+    Each cycle is contracted to a supernode. A BFS spanning tree of the
+    contraction, rooted at the cycle containing vertex 0, scans each parent
+    cycle in its listed order and neighbours in vertex order; the first edge
+    (u, v) found into an unreached cycle makes it a child, entered at v by
+    a detour from u and back, and the detours at u go in increasing cycle
+    index. The walk goes round every cycle once and over every tree edge
+    twice, so its length is at most n + 2(c - 1). The BFS is the
     connectivity check: when the cycles are cycles of g, it reaches every
     one of them exactly when g is connected.
     """
     cyc_of = _cycle_index(cycles, g.n)
-    c = len(cycles)
-
-    # BFS tree over the contracted multigraph; for each child remember the
-    # bridging graph edge (parent-side vertex, child-side vertex). The
-    # first incidence encountered wins, scanning parent cycles in walk
-    # order and neighbours in sorted order.
     root = cyc_of[0]
-    parent_link: list[tuple[int, int] | None] = [None] * c
-    visited = [False] * c
-    visited[root] = True
+    # entry[c]: the vertex where cycle c is entered; detours[u]: the child
+    # cycles entered from vertex u.
+    entry: list[int | None] = [None] * len(cycles)
+    entry[root] = 0
+    detours: dict[int, list[int]] = {}
     queue = deque([root])
     while queue:
-        ci = queue.popleft()
-        for u in cycles[ci]:
+        for u in cycles[queue.popleft()]:
             for v in g.out_adj[u]:
                 cj = cyc_of[v]
-                if not visited[cj]:
-                    visited[cj] = True
-                    parent_link[cj] = (u, v)
+                if entry[cj] is None:
+                    entry[cj] = v
+                    detours.setdefault(u, []).append(cj)
                     queue.append(cj)
-    if not all(visited):
+    if None in entry:
         raise BadParameters("tour construction needs a connected graph")
+    for children in detours.values():
+        children.sort()
 
-    # detours[cycle][vertex] = child cycles entered at that vertex
-    detours: list[dict[int, list[int]]] = [dict() for _ in range(c)]
-    for cj in range(c):
-        if parent_link[cj] is not None:
-            u, _ = parent_link[cj]
-            detours[cyc_of[u]].setdefault(u, []).append(cj)
-
-    # Work stack, last item first: a vertex to append, or a (cycle, entry)
-    # pair to walk round from entry back to entry, detouring into children.
+    # Work stack, last item first: a vertex to append, or a 1-tuple (cycle,)
+    # to walk round from its entry back to it, detouring into children.
     walk: list[int] = []
-    todo: list = [(root, 0)]
+    todo: list = [(root,)]
     while todo:
         item = todo.pop()
         if not isinstance(item, tuple):
             walk.append(item)
             continue
-        ci, entry = item
-        cyc = cycles[ci]
-        start = cyc.index(entry)
+        cyc, e = cycles[item[0]], entry[item[0]]
+        start = cyc.index(e)
         seq: list = []
         for w in cyc[start:] + cyc[:start]:
             seq.append(w)
-            for cj in detours[ci].get(w, ()):
-                seq += [(cj, parent_link[cj][1]), w]
+            for cj in detours.get(w, ()):
+                seq += [(cj,), w]
         if len(cyc) >= 2:
-            seq.append(entry)
+            seq.append(e)
         todo += reversed(seq)
     return Tour(tuple(walk))
 
 
-def verify_path_factor(pf: PathFactor, g: UndirectedRegularGraph) -> CheckReport:
-    """Re-validate all path-factor invariants against g from scratch."""
+def _violations(paths: tuple, g: UndirectedRegularGraph, once: bool) -> list[str]:
+    """The faults that keep ``paths`` from being walks of g that cover every
+    vertex, each vertex once if ``once``. Path by path: an empty path, each
+    vertex out of range or (if ``once``) seen before, each step between two
+    vertices in range that is no edge; then each uncovered vertex."""
     # One all-pass test at C speed; the scan below names what fails. A
     # step goes from a path's vertex but its last (tails) to the next one.
-    paths, n, row = pf.paths, g.n, g.out_adj.__getitem__
+    n, row = g.n, g.out_adj.__getitem__
     flat = list(chain.from_iterable(paths))
     tails = chain.from_iterable(map(itemgetter(slice(-1)), paths))
     heads = chain.from_iterable(map(itemgetter(slice(1, None)), paths))
-    if (all(paths) and len(flat) == n and 0 <= min(flat) and max(flat) < n
+    if (all(paths) and (len(flat) == n or not once) and 0 <= min(flat) and max(flat) < n
             and len(set(flat)) == n and all(map(contains, map(row, tails), heads))):
-        return CheckReport(True)
+        return []
     violations = []
     seen: set[int] = set()
-    for path in pf.paths:
+    for path in paths:
         if not path:
             violations.append("EmptyPath")
             continue
         for v in path:
-            if not 0 <= v < g.n:
+            if not 0 <= v < n:
                 violations.append(f"IndexOutOfRange: {v}")
-            elif v in seen:
+            elif once and v in seen:
                 violations.append(f"VertexReuse: {v}")
             else:
                 seen.add(v)
         for a, b in zip(path, path[1:]):
             # An end outside [0, n) is reported above; has_edge would index by it.
-            if 0 <= a < g.n and 0 <= b < g.n and not g.has_edge(a, b):
+            if 0 <= a < n and 0 <= b < n and not g.has_edge(a, b):
                 violations.append(f"NonEdge: ({a}, {b})")
-    for v in range(g.n):
-        if v not in seen:
-            violations.append(f"UncoveredVertex: {v}")
+    violations += (f"UncoveredVertex: {v}" for v in range(n) if v not in seen)
+    return violations
+
+
+def verify_path_factor(pf: PathFactor, g: UndirectedRegularGraph) -> CheckReport:
+    """Re-validate all path-factor invariants against g from scratch."""
+    violations = _violations(pf.paths, g, once=True)
     return CheckReport(not violations, tuple(violations))
 
 
 def verify_tour(t: Tour, g: UndirectedRegularGraph) -> CheckReport:
-    """Re-validate all tour invariants against g from scratch."""
-    violations = []
+    """Re-validate all tour invariants against g from scratch; a tour may
+    repeat vertices, and an open walk is reported before any other fault."""
     walk = t.walk
     if not walk:
         return CheckReport(False, ("EmptyWalk",))
-    # One all-pass test at C speed; the scan below names what fails.
-    n, row = g.n, g.out_adj.__getitem__
-    if (walk[0] == walk[-1] and 0 <= min(walk) and max(walk) < n
-            and len(set(walk)) == n and all(map(contains, map(row, walk), walk[1:]))):
-        return CheckReport(True)
+    violations = _violations((walk,), g, once=False)
     if walk[0] != walk[-1]:
-        violations.append(f"NotClosed: starts {walk[0]}, ends {walk[-1]}")
-    covered = set()
-    for v in walk:
-        if not 0 <= v < g.n:
-            violations.append(f"IndexOutOfRange: {v}")
-        else:
-            covered.add(v)
-    for a, b in zip(walk, walk[1:]):
-        if 0 <= a < g.n and 0 <= b < g.n and not g.has_edge(a, b):
-            violations.append(f"NonEdge: ({a}, {b})")
-    for v in range(g.n):
-        if v not in covered:
-            violations.append(f"UncoveredVertex: {v}")
+        violations.insert(0, f"NotClosed: starts {walk[0]}, ends {walk[-1]}")
     return CheckReport(not violations, tuple(violations))

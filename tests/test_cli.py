@@ -62,18 +62,11 @@ class TestGen:
         g = read_graph(out)
         assert all(i not in row for i, row in enumerate(g.out_adj))
 
-    def test_random_needs_seed(self, tmp_path, capsys):
-        code, _, err = run(
-            capsys, "gen", "random", "--n", 6, "--d", 2, "--out", tmp_path / "x"
-        )
-        assert code == 2
-        assert "seed" in err
-
     def test_bad_parameters(self, tmp_path, capsys):
-        code, _, _ = run(
-            capsys, "gen", "cycle", "--n", 6, "--d", 3, "--out", tmp_path / "x"
-        )
-        assert code == 2
+        out = tmp_path / "x"
+        assert run(capsys, "gen", "cycle", "--n", 6, "--d", 3, "--out", out) == (
+            2, "", "cycle needs d=2 and n >= 3, got n=6, d=3\n")
+        assert not out.exists()
 
 
 class TestVerify:
@@ -157,22 +150,11 @@ class TestVerify:
         assert run(capsys, "verify", path, "--out", report) == (0, "", "")
         assert report.read_text() == out
 
-    def test_missing_file(self, capsys):
-        code, _, _ = run(capsys, "verify", "/nonexistent/g.digraph")
-        assert code == 4
-
-    def test_bad_file(self, tmp_path, capsys):
-        path = tmp_path / "bad.digraph"
-        path.write_text("digraph 2 1\n1\n1\n")
-        code, _, _ = run(capsys, "verify", path)
-        assert code == 2
-
     def test_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "bad.digraph"
         path.write_bytes(b"digraph 1 1\n\xff\n")
-        code, _, err = run(capsys, "verify", path)
-        assert code == 2
-        assert "line 2" in err
+        assert run(capsys, "verify", path) == (
+            2, "", f"bad graph file {path}: line 2: not UTF-8 text: invalid start byte\n")
 
 
 class TestFactorCommands:
@@ -452,6 +434,9 @@ def test_failure_exit_code_and_stderr(tmp_path, capsys, argv, code, message):
     got = run(capsys, *(str(a).replace("{tmp}", tmp) for a in argv))
     assert got == (code, "", message.replace("{tmp}", tmp) + "\n")
     assert not (tmp_path / "x").exists()
+    # No refusal writes a results file or rewrites a corrupt one.
+    assert not (tmp_path / "r.ndjson").exists()
+    assert (tmp_path / "corrupt.ndjson").read_text() == "not json\n"
 
 
 def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -683,69 +668,38 @@ class TestBench:
         assert "line 1" in err
         assert out.read_text() == "not json\n"
 
-    def test_instance_without_d_is_partial_failure(self, tmp_path, capsys):
-        manifest = tmp_path / "m.json"
-        manifest.write_text(json.dumps({
-            "config": {"samples": 2},
-            "instances": [{"family": "random", "n": 6, "seed": 1},
-                          {"family": "cycle", "n": 6, "d": 2}],
-        }))
-        out = tmp_path / "r.ndjson"
-        code, _, err = run(capsys, "bench", manifest, "--out", out)
+    def partial_failure(self, tmp_path, capsys, instance, error):
+        # A bad instance is reported on stderr and the run goes on: the
+        # good instance after it gets its record, and bench exits 2.
+        code, err, out = self.bench_raw(tmp_path, capsys, {
+            "config": {"samples": 2}, "instances": [instance, {"family": "cycle", "n": 6, "d": 2}],
+        })
         assert code == 2
-        assert json.loads(err)["partial_failures"][0]["error"] == "manifest instance lacks d"
+        assert json.loads(err)["partial_failures"] == [{"instance": instance, "error": error}]
         assert len(out.read_text().splitlines()) == 1
+
+    def test_instance_without_d_is_partial_failure(self, tmp_path, capsys):
+        self.partial_failure(tmp_path, capsys, {"family": "random", "n": 6, "seed": 1},
+                             "manifest instance lacks d")
 
     def test_negative_d_family_is_partial_failure(self, tmp_path, capsys):
-        manifest = tmp_path / "m.json"
-        manifest.write_text(json.dumps({
-            "config": {"samples": 2},
-            "instances": [{"family": "clique_union", "n": 6, "d": -1},
-                          {"family": "cycle", "n": 6, "d": 2}],
-        }))
-        out = tmp_path / "r.ndjson"
-        code, _, err = run(capsys, "bench", manifest, "--out", out)
-        assert code == 2
-        assert json.loads(err)["partial_failures"][0]["error"] == (
-            "clique_union needs d >= 1, got d=-1")
-        assert len(out.read_text().splitlines()) == 1
+        self.partial_failure(tmp_path, capsys, {"family": "clique_union", "n": 6, "d": -1},
+                             "clique_union needs d >= 1, got d=-1")
 
     def test_negative_seed_random_is_partial_failure(self, tmp_path, capsys):
-        manifest = tmp_path / "m.json"
-        manifest.write_text(json.dumps({
-            "config": {"samples": 2},
-            "instances": [{"family": "random", "n": 8, "d": 3, "seed": -1},
-                          {"family": "cycle", "n": 6, "d": 2}],
-        }))
-        out = tmp_path / "r.ndjson"
-        code, _, err = run(capsys, "bench", manifest, "--out", out)
-        assert code == 2
-        assert json.loads(err)["partial_failures"][0]["error"] == "need seed >= 0, got seed=-1"
-        assert len(out.read_text().splitlines()) == 1
+        self.partial_failure(tmp_path, capsys, {"family": "random", "n": 8, "d": 3, "seed": -1},
+                             "need seed >= 0, got seed=-1")
 
     def test_not_utf8_graph_is_partial_failure(self, tmp_path, capsys):
         graph = tmp_path / "bad.digraph"
         graph.write_bytes(b"\xff\xfe")
-        manifest = tmp_path / "m.json"
-        manifest.write_text(json.dumps({"config": {}, "instances": [{"path": str(graph)}]}))
-        code, _, err = run(capsys, "bench", manifest, "--out", tmp_path / "r.ndjson")
-        assert code == 2
-        assert json.loads(err)["partial_failures"][0]["error"] == (
-            f"bad graph file {graph}: line 1: not UTF-8 text: invalid start byte")
+        self.partial_failure(tmp_path, capsys, {"path": str(graph)},
+                             f"bad graph file {graph}: line 1: not UTF-8 text: invalid start byte")
 
     def test_missing_graph_file_is_partial_failure(self, tmp_path, capsys):
-        manifest = tmp_path / "m.json"
-        manifest.write_text(json.dumps({
-            "instances": [{"path": "/nonexistent/g.digraph"},
-                          {"family": "cycle", "n": 6, "d": 2}],
-        }))
-        out = tmp_path / "r.ndjson"
-        code, _, err = run(capsys, "bench", manifest, "--out", out)
-        assert code == 2
-        assert json.loads(err)["partial_failures"][0]["error"] == (
-            "cannot read /nonexistent/g.digraph: [Errno 2] No such file or directory:"
-            " '/nonexistent/g.digraph'")
-        assert len(out.read_text().splitlines()) == 1
+        self.partial_failure(tmp_path, capsys, {"path": "/nonexistent/g.digraph"},
+                             "cannot read /nonexistent/g.digraph: [Errno 2] No such file or directory:"
+                             " '/nonexistent/g.digraph'")
 
     def test_repeated_instance_written_once(self, tmp_path, capsys):
         # Whether or not a run is interrupted between the two entries, the
@@ -760,8 +714,10 @@ class TestBench:
     def test_manifest_not_utf8(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
         manifest.write_bytes(b"\xff\xfe")
-        code, _, _ = run(capsys, "bench", manifest, "--out", tmp_path / "r.ndjson")
-        assert code == 2
+        out = tmp_path / "r.ndjson"
+        assert run(capsys, "bench", manifest, "--out", out) == (
+            2, "", "bad manifest: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
+        assert not out.exists()
 
     def bench_raw(self, tmp_path, capsys, manifest):
         path = tmp_path / "m.json"
@@ -769,17 +725,6 @@ class TestBench:
         out = tmp_path / "r.ndjson"
         code, _, err = run(capsys, "bench", path, "--out", out)
         return code, err, out
-
-    def test_manifest_not_object(self, tmp_path, capsys):
-        code, err, out = self.bench_raw(tmp_path, capsys, [{"family": "cycle", "n": 6, "d": 2}])
-        assert code == 2
-        assert "not a JSON object" in err
-        assert not out.exists()
-
-    def test_config_not_object(self, tmp_path, capsys):
-        code, err, _ = self.bench_raw(tmp_path, capsys, {"config": [], "instances": []})
-        assert code == 2
-        assert "config must be an object" in err
 
     @pytest.mark.parametrize("key", ["samples", "mcmc_steps", "seed"])
     def test_config_value_not_integer(self, tmp_path, capsys, key):
@@ -820,13 +765,8 @@ class TestBench:
         assert ["oracle" in r["outputs"] for r in records] == [True, False]
 
     def test_instance_n_not_integer(self, tmp_path, capsys):
-        manifest = {"config": {"samples": 2},
-                    "instances": [{"family": "random", "n": "6", "d": 2, "seed": 1},
-                                  {"family": "cycle", "n": 6, "d": 2}]}
-        code, err, out = self.bench_raw(tmp_path, capsys, manifest)
-        assert code == 2
-        assert json.loads(err)["partial_failures"][0]["error"] == "manifest instance n not an integer"
-        assert len(out.read_text().splitlines()) == 1
+        self.partial_failure(tmp_path, capsys, {"family": "random", "n": "6", "d": 2, "seed": 1},
+                             "manifest instance n not an integer")
 
     def test_failed_factor_check_is_partial_failure(self, tmp_path, capsys, monkeypatch):
         # Directed and undirected instances alike go through the factor check.
@@ -839,22 +779,10 @@ class TestBench:
         assert out.read_text() == ""
 
     def test_instance_path_not_string(self, tmp_path, capsys):
-        manifest = {"config": {"samples": 2},
-                    "instances": [{"path": 5}, {"family": "cycle", "n": 6, "d": 2}]}
-        code, err, out = self.bench_raw(tmp_path, capsys, manifest)
-        assert code == 2
-        assert json.loads(err)["partial_failures"][0] == {
-            "instance": {"path": 5}, "error": "manifest instance path is not a string"}
-        assert len(out.read_text().splitlines()) == 1
+        self.partial_failure(tmp_path, capsys, {"path": 5}, "manifest instance path is not a string")
 
     def test_instance_not_object(self, tmp_path, capsys):
-        manifest = {"config": {"samples": 2},
-                    "instances": [5, {"family": "cycle", "n": 6, "d": 2}]}
-        code, err, out = self.bench_raw(tmp_path, capsys, manifest)
-        assert code == 2
-        assert json.loads(err)["partial_failures"][0] == {
-            "instance": 5, "error": "manifest instance is not an object"}
-        assert len(out.read_text().splitlines()) == 1
+        self.partial_failure(tmp_path, capsys, 5, "manifest instance is not an object")
 
     @pytest.mark.parametrize("desc", [
         {"family": "random", "n": 12, "d": 3, "seed": 5},

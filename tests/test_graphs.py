@@ -701,6 +701,5 @@ class TestRecords:
             g.in_adj = ()
 
     def test_defaults(self):
-        assert CheckReport(True) == CheckReport(ok=True, violations=())
         assert SamplerConfig(seed=3) == SamplerConfig("auto", None, None, 3)
         assert SamplerConfig() == SamplerConfig(seed=0)

@@ -105,4 +105,13 @@ def test_one_record_constructor():
         for cls in vars(module).values()
         if isinstance(cls, type) and issubclass(cls, Record) and "__init__" in vars(cls)
     })
-    assert own_init == ["CheckReport", "Record", "RegularDigraph", "SamplerConfig"]
+    assert own_init == ["Record", "RegularDigraph", "SamplerConfig"]
+
+
+def test_one_violation_scan():
+    # verify_tour and verify_path_factor name their faults in one shared
+    # scan, so each fault a tour and a path-factor can both have is
+    # written once in the package.
+    text = "".join(path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py")))
+    names = ("IndexOutOfRange", "NonEdge", "UncoveredVertex")
+    assert {name: text.count(name) for name in names} == dict.fromkeys(names, 1)

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -15,6 +16,7 @@ from cyclefactor.transforms import (
     CheckReport,
     PathFactor,
     Tour,
+    _cycle_index,
     to_path_factor,
     to_tour,
     to_undirected_cycle_factor,
@@ -285,6 +287,96 @@ class TestPathCutReference:
         assert max(lengths) > 20 and {2, 3} & lengths
 
 
+def reference_tour(cycles, g):
+    """to_tour as it was before it kept one tree: the BFS stored a
+    (parent-side, child-side) edge and a visited flag per cycle, and the
+    detours went in one dict per cycle."""
+    cyc_of = _cycle_index(cycles, g.n)
+    c = len(cycles)
+    root = cyc_of[0]
+    parent_link = [None] * c
+    visited = [False] * c
+    visited[root] = True
+    queue = deque([root])
+    while queue:
+        ci = queue.popleft()
+        for u in cycles[ci]:
+            for v in g.out_adj[u]:
+                cj = cyc_of[v]
+                if not visited[cj]:
+                    visited[cj] = True
+                    parent_link[cj] = (u, v)
+                    queue.append(cj)
+    if not all(visited):
+        raise BadParameters("tour construction needs a connected graph")
+    detours = [dict() for _ in range(c)]
+    for cj in range(c):
+        if parent_link[cj] is not None:
+            u, _ = parent_link[cj]
+            detours[cyc_of[u]].setdefault(u, []).append(cj)
+    walk = []
+    todo = [(root, 0)]
+    while todo:
+        item = todo.pop()
+        if not isinstance(item, tuple):
+            walk.append(item)
+            continue
+        ci, entry = item
+        cyc = cycles[ci]
+        start = cyc.index(entry)
+        seq = []
+        for w in cyc[start:] + cyc[:start]:
+            seq.append(w)
+            for cj in detours[ci].get(w, ()):
+                seq += [(cj, parent_link[cj][1]), w]
+        if len(cyc) >= 2:
+            seq.append(entry)
+        todo += reversed(seq)
+    return Tour(tuple(walk))
+
+
+def _tour_or_refusal(build, cycles, g):
+    try:
+        return build(cycles, g)
+    except BadParameters as e:
+        return str(e)
+
+
+class TestTourReference:
+    """to_tour gives the walk, or the refusal, of the version before it."""
+
+    def test_random_partitions(self):
+        # The "cycles" are any partition of the vertices, singletons
+        # included: the tree and its detours depend only on the partition
+        # and g. The circulant i ~ i +- s for s in shifts is disconnected
+        # when n and all its shifts have a common factor.
+        rng = random.Random(11)
+        graphs = [PETERSEN]
+        for n in range(5, 17):
+            for _ in range(3):
+                shifts = rng.sample(range(1, (n - 1) // 2 + 1), rng.randint(1, min(3, (n - 1) // 2)))
+                graphs.append(UndirectedRegularGraph.from_lists(
+                    n, 2 * len(shifts), [[(i + s) % n for s in shifts + [-s for s in shifts]] for i in range(n)]
+                ))
+        outcomes = set()
+        for g in graphs:
+            for _ in range(20):
+                order = rng.sample(range(g.n), g.n)
+                cuts = sorted(rng.sample(range(1, g.n), rng.randint(0, g.n - 1)))
+                cycles = tuple(tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [g.n]))
+                got = _tour_or_refusal(to_tour, cycles, g)
+                assert got == _tour_or_refusal(reference_tour, cycles, g)
+                outcomes.add(type(got))
+                outcomes.add(min(map(len, cycles)))
+        assert outcomes >= {Tour, str, 1, 2}
+
+    def test_long_digon_factor(self):
+        c = gen_family("cycle", 6000, 2)
+        cycles = tuple((2 * i, 2 * i + 1) for i in range(3000))
+        for turn in (cycles, cycles[::-1], tuple(cyc[::-1] for cyc in cycles)):
+            assert to_tour(turn, c) == reference_tour(turn, c)
+
+
 C4 = gen_family("cycle", 4, 2)
 
 
@@ -302,6 +394,13 @@ class TestVerifierFastPath:
         ((0, 1, 2, 3, -1, 0), ("IndexOutOfRange: -1",)),
         ((0, 1, 2, 3, 4, 0), ("IndexOutOfRange: 4",)),
         ((0, 1, 2, 3, 2, 1), ("NotClosed: starts 0, ends 1",)),
+        # A tour may repeat vertices; the scan names no reuse.
+        ((0, 1, 2, 1, 0, 3, 0), ()),
+        ((0, 1, 0, 1, 0), ("UncoveredVertex: 2", "UncoveredVertex: 3")),
+        # An open walk is named before the scan's faults.
+        ((0, 2, 1), ("NotClosed: starts 0, ends 1", "NonEdge: (0, 2)", "UncoveredVertex: 3")),
+        ((3, 9, 1), ("NotClosed: starts 3, ends 1", "IndexOutOfRange: 9", "UncoveredVertex: 0",
+                     "UncoveredVertex: 2")),
     ])
     def test_tour(self, walk, violations):
         assert verify_tour(Tour(walk), C4) == CheckReport(not violations, violations)
@@ -315,6 +414,13 @@ class TestVerifierFastPath:
         (((0, 1, 2, 3), (-1,)), ("IndexOutOfRange: -1",)),
         (((0, 1, 2), (-1,)), ("IndexOutOfRange: -1", "UncoveredVertex: 3")),
         (((1, 3), (0, 2)), ("NonEdge: (1, 3)", "NonEdge: (0, 2)")),
+        # An empty path is named in its place among the other faults.
+        (((0, 2), (), (1,)), ("NonEdge: (0, 2)", "EmptyPath", "UncoveredVertex: 3")),
+        (((), (1, 1), (5, 2)), ("EmptyPath", "VertexReuse: 1", "NonEdge: (1, 1)", "IndexOutOfRange: 5",
+                                "UncoveredVertex: 0", "UncoveredVertex: 3")),
+        # A step with an end out of range is no NonEdge.
+        (((0, 1, 7, 2, 3),), ("IndexOutOfRange: 7",)),
+        (((-2, 0), (1, 2, 3)), ("IndexOutOfRange: -2",)),
     ])
     def test_path_factor(self, paths, violations):
         assert verify_path_factor(PathFactor(paths), C4) == CheckReport(not violations, violations)
