@@ -62,6 +62,12 @@ class TestGen:
         g = read_graph(out)
         assert all(i not in row for i, row in enumerate(g.out_adj))
 
+    def test_random_needs_seed(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run(capsys, "gen", "random", "--n", 6, "--d", 2, "--out", out) == (
+            2, "", "gen random requires --seed\n")
+        assert not out.exists()
+
     def test_bad_parameters(self, tmp_path, capsys):
         out = tmp_path / "x"
         assert run(capsys, "gen", "cycle", "--n", 6, "--d", 3, "--out", out) == (
@@ -149,6 +155,17 @@ class TestVerify:
         report = tmp_path / "v.txt"
         assert run(capsys, "verify", path, "--out", report) == (0, "", "")
         assert report.read_text() == out
+
+    def test_missing_file(self, capsys):
+        assert run(capsys, "verify", "/nonexistent/g.digraph") == (
+            4, "", "cannot read /nonexistent/g.digraph: [Errno 2] No such file or directory:"
+            " '/nonexistent/g.digraph'\n")
+
+    def test_bad_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.digraph"
+        path.write_text("digraph 2 1\n1\n1\n")
+        assert run(capsys, "verify", path) == (
+            2, "", f"bad graph file {path}: vertex 0 has in-degree 0, expected 1\n")
 
     def test_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "bad.digraph"
@@ -725,6 +742,16 @@ class TestBench:
         out = tmp_path / "r.ndjson"
         code, _, err = run(capsys, "bench", path, "--out", out)
         return code, err, out
+
+    def test_manifest_not_object(self, tmp_path, capsys):
+        code, err, out = self.bench_raw(tmp_path, capsys, [{"family": "cycle", "n": 6, "d": 2}])
+        assert (code, err) == (2, "bad manifest: not a JSON object\n")
+        assert not out.exists()
+
+    def test_config_not_object(self, tmp_path, capsys):
+        code, err, out = self.bench_raw(tmp_path, capsys, {"config": [], "instances": []})
+        assert (code, err) == (2, "bad manifest: config must be an object, instances a list\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["samples", "mcmc_steps", "seed"])
     def test_config_value_not_integer(self, tmp_path, capsys, key):
