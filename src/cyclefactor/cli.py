@@ -26,6 +26,7 @@ from .entropy import REVEAL_MAX_N, reveal_audit
 from .errors import BadParameters, CycleFactorError, GraphError, ParseError, SizeLimitExceeded
 from .exact import build_report, cycle_bound
 from .graphs import (
+    FAMILIES,
     RegularDigraph,
     UndirectedRegularGraph,
     gen_family,
@@ -41,7 +42,6 @@ EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
-FAMILIES = ("complete_loops", "clique_union", "cycle", "complete_bipartite_like")
 ORACLE_MAX_N = 8  # bench reports the exact oracle for n <= ORACLE_MAX_N
 
 
@@ -279,13 +279,8 @@ def cmd_bench(args) -> int:
     unknown = sorted(set(config) - {"backend", "samples", "mcmc_steps", "seed"})
     if unknown:
         raise BadParameters(f"bad manifest: unknown config key(s) {', '.join(unknown)}")
-    try:
-        cfg = SamplerConfig(
-            backend=config.get("backend", "auto"),
-            mcmc_steps=config.get("mcmc_steps"),
-            num_samples=config.get("samples"),
-            seed=config.get("seed", 0),
-        )
+    try:  # settings the manifest leaves out take SamplerConfig's defaults
+        cfg = SamplerConfig(**{"num_samples" if k == "samples" else k: v for k, v in config.items()})
     except BadParameters as e:
         raise BadParameters(f"bad manifest: {e}") from None
     out_path = Path(args.out) if args.out else Path("bench_results.ndjson")

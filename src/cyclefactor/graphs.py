@@ -31,6 +31,7 @@ __all__ = [
     "in_rows",
     "double_undirected",
     "gen_random_regular_digraph",
+    "FAMILIES",
     "gen_family",
     "read_graph",
     "write_graph",
@@ -372,52 +373,42 @@ def gen_random_regular_digraph(
     return RegularDigraph.from_lists(n, d, out)
 
 
-def gen_family(kind: str, n: int, d: int):
-    """Named extremal test families.
+FAMILIES = ("complete_loops", "clique_union", "cycle", "complete_bipartite_like")
 
-    complete_loops (directed): disjoint union of n/d complete digraphs on d
-    vertices, each with a loop at every vertex. clique_union (undirected):
-    n/(d+1) disjoint cliques on d+1 vertices. cycle (undirected): C_n,
-    requires d=2. complete_bipartite_like (undirected): disjoint union of
-    n/(2d) copies of K_{d,d}.
+
+def gen_family(kind: str, n: int, d: int):
+    """The named extremal test families, ``FAMILIES``.
+
+    cycle (undirected): C_n, requires d=2. The others are n/size disjoint
+    blocks of size vertices: complete_loops (directed), complete digraphs
+    on d vertices, each with a loop at every vertex; clique_union
+    (undirected), cliques on d+1 vertices; complete_bipartite_like
+    (undirected), copies of K_{d,d}.
     """
-    if kind in ("complete_loops", "clique_union", "complete_bipartite_like") and d < 1:
-        raise BadParameters(f"{kind} needs d >= 1, got d={d}")
-    if kind == "complete_loops":
-        if n % d != 0:
-            raise BadParameters(f"complete_loops needs d | n, got n={n}, d={d}")
-        out = []
-        for i in range(n):
-            base = (i // d) * d
-            out.append(tuple(range(base, base + d)))
-        return RegularDigraph(n, d, tuple(out))
-    if kind == "clique_union":
-        if n % (d + 1) != 0:
-            raise BadParameters(f"clique_union needs (d+1) | n, got n={n}, d={d}")
-        adj = []
-        for i in range(n):
-            base = (i // (d + 1)) * (d + 1)
-            adj.append(tuple(v for v in range(base, base + d + 1) if v != i))
-        return UndirectedRegularGraph(n, d, tuple(adj))
     if kind == "cycle":
         if d != 2 or n < 3:
             raise BadParameters(f"cycle needs d=2 and n >= 3, got n={n}, d={d}")
         adj = [tuple(sorted(((i - 1) % n, (i + 1) % n))) for i in range(n)]
         return UndirectedRegularGraph(n, 2, tuple(adj))
-    if kind == "complete_bipartite_like":
-        if n % (2 * d) != 0:
-            raise BadParameters(
-                f"complete_bipartite_like needs 2d | n, got n={n}, d={d}"
-            )
-        adj = []
-        for i in range(n):
-            block = i // (2 * d)
-            base = block * 2 * d
-            side = (i - base) // d
-            other = base + (1 - side) * d
-            adj.append(tuple(range(other, other + d)))
-        return UndirectedRegularGraph(n, d, tuple(adj))
-    raise BadParameters(f"unknown family kind {kind!r}")
+    if kind not in FAMILIES:
+        raise BadParameters(f"unknown family kind {kind!r}")
+    if d < 1:
+        raise BadParameters(f"{kind} needs d >= 1, got d={d}")
+    # Each block family's block size, and its name in the message.
+    size, name = {"complete_loops": (d, "d"), "clique_union": (d + 1, "(d+1)"),
+                  "complete_bipartite_like": (2 * d, "2d")}[kind]
+    if n % size != 0:
+        raise BadParameters(f"{kind} needs {name} | n, got n={n}, d={d}")
+    adj = []
+    for i in range(n):
+        block = range(i - i % size, i - i % size + size)
+        if kind == "clique_union":
+            block = [v for v in block if v != i]
+        elif kind == "complete_bipartite_like":  # the half i is not in
+            block = block[d:] if i % size < d else block[:d]
+        adj.append(tuple(block))
+    cls = RegularDigraph if kind == "complete_loops" else UndirectedRegularGraph
+    return cls(n, d, tuple(adj))
 
 
 def graph_to_text(g: RegularDigraph) -> str:

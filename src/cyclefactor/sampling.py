@@ -129,9 +129,12 @@ def hopcroft_karp(adj) -> list[int]:
     as that first-fit loop. Each later phase layers the graph by BFS from
     the rows free when it starts, then searches augmenting paths
     depth-first from each of them in order; a matched row never becomes
-    free again, so that list is the phase's roots. The search keeps its
-    path on explicit stacks, so path length is not limited by Python's
-    recursion depth.
+    free again, so that list is the phase's roots. The search keeps two
+    explicit stacks, ``path`` (the rows above the current one) and
+    ``scans`` (where their scans resume), so path length is not limited
+    by Python's recursion depth. A path found is flipped back to its root:
+    each row on it takes the column below and hands its old one, which
+    its parent took to reach it, up to the parent.
     """
     n = len(adj)
     match_u = [-1] * n
@@ -162,10 +165,8 @@ def hopcroft_karp(adj) -> list[int]:
         if not found:
             return match_u
         # Depth-first along the layers from each free row in turn, as a
-        # recursion on rows would: path holds the rows above u, cols the
-        # column taken from each, scans where each row's scan resumes.
+        # recursion on rows would.
         path: list[int] = []
-        cols: list[int] = []
         scans = []
         for root in free:
             u, scan = root, iter(adj[root])
@@ -179,20 +180,18 @@ def hopcroft_karp(adj) -> list[int]:
                     if not path:
                         break
                     u, scan = path.pop(), scans.pop()
-                    cols.pop()
                     continue
                 if w != -1:
                     path.append(u)
-                    cols.append(v)
                     scans.append(scan)
                     u, scan = w, iter(adj[w])
                     continue
                 while True:  # v is free: flip the path back to the root
-                    match_u[u] = v
                     match_v[v] = u
+                    match_u[u], v = v, match_u[u]
                     if not path:
                         break
-                    u, v = path.pop(), cols.pop()
+                    u = path.pop()
                 scans.clear()
                 break
 
@@ -270,10 +269,6 @@ class MCMCFactorSampler:
             raise BadParameters("step budget must be positive")
         self.graph = g
         self.steps = steps
-        # The auxiliary bipartite graph: row u joins the columns g.out_adj[u].
-        self._adj = g.out_adj
-        # Its transpose, which the graph built when it was checked.
-        self._in_adj = g.in_adj
         self._out_sets = list(map(set, g.out_adj))
         # g is d-regular with d >= 1, so by König's theorem this is perfect.
         self._init_match = hopcroft_karp(g.out_adj)
@@ -297,8 +292,9 @@ class MCMCFactorSampler:
         """
         n = self.graph.n
         d = self.graph.d
-        adj = self._adj
-        in_adj = self._in_adj
+        # The auxiliary bipartite graph's rows, and the graph's transpose.
+        adj = self.graph.out_adj
+        in_adj = self.graph.in_adj
         out_sets = self._out_sets
         match_u = self._init_match.copy()
         match_v = self._init_match_v.copy()

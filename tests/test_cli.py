@@ -8,7 +8,9 @@ import pytest
 
 from cyclefactor import cli, exact, sampling
 from cyclefactor.cli import main
+from cyclefactor.errors import GraphError, ParseError
 from cyclefactor.graphs import (
+    FAMILIES,
     CycleFactor,
     RegularDigraph,
     double_undirected,
@@ -21,6 +23,7 @@ from cyclefactor.graphs import (
 )
 from cyclefactor.sampling import SamplerConfig, hopcroft_karp
 from cyclefactor.transforms import CheckReport
+from graph_text_reference import reference_read_graph
 
 
 def run(capsys, *argv):
@@ -73,6 +76,12 @@ class TestGen:
         assert run(capsys, "gen", "cycle", "--n", 6, "--d", 3, "--out", out) == (
             2, "", "cycle needs d=2 and n >= 3, got n=6, d=3\n")
         assert not out.exists()
+
+    def test_family_choices(self):
+        # argparse lists the choices, in this order, when it refuses one.
+        (family,) = [a for a in _subparsers()["gen"]._actions if a.dest == "family"]
+        assert family.choices == FAMILIES + ("random",) == (
+            "complete_loops", "clique_union", "cycle", "complete_bipartite_like", "random")
 
 
 class TestVerify:
@@ -272,9 +281,13 @@ class TestFactorCommands:
         assert out1 == out2
 
 
-def _subcommands() -> set:
+def _subparsers() -> dict:
     (action,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    return set(action.choices)
+    return action.choices
+
+
+def _subcommands() -> set:
+    return set(_subparsers())
 
 
 def test_subcommands():
@@ -602,6 +615,24 @@ def test_fuzzed_inputs_end_in_an_exit_code(tmp_path, capsys, monkeypatch):
         if code not in (0, 2, 3, 4) or "Traceback" in err:
             bad.append((argv, graph.read_bytes(), code, err))
     assert not bad, bad[:3]
+
+
+def _graph_or_fault(read, arg):
+    try:
+        return read(arg)
+    except (ParseError, GraphError) as e:
+        return type(e), str(e)
+
+
+def test_fuzzed_graph_files_read_as_the_reference_reads_them(tmp_path):
+    # The same graph, or the same exception class and message, as the
+    # plain line-by-line reader gives on the same bytes.
+    rng = random.Random(1)
+    path = tmp_path / "g.txt"
+    for _ in range(2000):
+        data = _mutated_graph(rng)
+        path.write_bytes(data)
+        assert _graph_or_fault(read_graph, path) == _graph_or_fault(reference_read_graph, data), data
 
 
 class TestBench:

@@ -11,6 +11,7 @@ from scipy.stats import chisquare
 
 from cyclefactor.errors import BadParameters, GraphError, ParseError
 from cyclefactor.graphs import (
+    FAMILIES,
     CycleFactor,
     RegularDigraph,
     UndirectedRegularGraph,
@@ -429,6 +430,65 @@ class TestFamilies:
     def test_bad_parameters(self, kind, n, d):
         with pytest.raises(BadParameters):
             gen_family(kind, n, d)
+
+
+def reference_gen_family(kind, n, d):
+    """gen_family as it was written before the block families shared one
+    check and one loop: a branch of its own per family."""
+    if kind in ("complete_loops", "clique_union", "complete_bipartite_like") and d < 1:
+        raise BadParameters(f"{kind} needs d >= 1, got d={d}")
+    if kind == "complete_loops":
+        if n % d != 0:
+            raise BadParameters(f"complete_loops needs d | n, got n={n}, d={d}")
+        out = []
+        for i in range(n):
+            base = (i // d) * d
+            out.append(tuple(range(base, base + d)))
+        return RegularDigraph(n, d, tuple(out))
+    if kind == "clique_union":
+        if n % (d + 1) != 0:
+            raise BadParameters(f"clique_union needs (d+1) | n, got n={n}, d={d}")
+        adj = []
+        for i in range(n):
+            base = (i // (d + 1)) * (d + 1)
+            adj.append(tuple(v for v in range(base, base + d + 1) if v != i))
+        return UndirectedRegularGraph(n, d, tuple(adj))
+    if kind == "cycle":
+        if d != 2 or n < 3:
+            raise BadParameters(f"cycle needs d=2 and n >= 3, got n={n}, d={d}")
+        adj = [tuple(sorted(((i - 1) % n, (i + 1) % n))) for i in range(n)]
+        return UndirectedRegularGraph(n, 2, tuple(adj))
+    if kind == "complete_bipartite_like":
+        if n % (2 * d) != 0:
+            raise BadParameters(
+                f"complete_bipartite_like needs 2d | n, got n={n}, d={d}"
+            )
+        adj = []
+        for i in range(n):
+            block = i // (2 * d)
+            base = block * 2 * d
+            side = (i - base) // d
+            other = base + (1 - side) * d
+            adj.append(tuple(range(other, other + d)))
+        return UndirectedRegularGraph(n, d, tuple(adj))
+    raise BadParameters(f"unknown family kind {kind!r}")
+
+
+def _family_or_refusal(build, kind, n, d):
+    try:
+        return build(kind, n, d)
+    except (BadParameters, GraphError) as e:
+        return type(e), str(e)
+
+
+def test_gen_family_matches_reference_on_grid():
+    # 6 kinds x 27 n x 12 d = 1,944 cases: the same graph, which compares
+    # its type and rows, or the same exception class and message.
+    cases = [(kind, n, d) for kind in FAMILIES + ("random", "nope")
+             for n in range(-2, 25) for d in range(-3, 9)]
+    assert len(cases) == 1944
+    for case in cases:
+        assert _family_or_refusal(gen_family, *case) == _family_or_refusal(reference_gen_family, *case), case
 
 
 class TestIo:

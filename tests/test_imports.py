@@ -1,12 +1,17 @@
 import ast
 import inspect
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cyclefactor
-from cyclefactor.graphs import Record
+from cyclefactor.cli import main
+from cyclefactor.graphs import FAMILIES, Record
+from cyclefactor.sampling import SamplerConfig
 
 PACKAGE = Path(cyclefactor.__file__).parent
 
@@ -115,3 +120,30 @@ def test_one_violation_scan():
     text = "".join(path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py")))
     names = ("IndexOutOfRange", "NonEdge", "UncoveredVertex")
     assert {name: text.count(name) for name in names} == dict.fromkeys(names, 1)
+
+
+def test_one_family_list():
+    # FAMILIES is stated once, beside gen_family; the CLI reads it from
+    # there, so no other module holds a family's name.
+    stray = [
+        f"{path.name}:{node.lineno} {node.value!r}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "graphs.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in FAMILIES
+    ]
+    assert not stray, stray
+
+
+@pytest.mark.parametrize("config", [{}, {"samples": 2}], ids=["empty", "samples"])
+def test_bench_takes_the_sampler_defaults(tmp_path, monkeypatch, config):
+    # bench restates none of SamplerConfig's defaults: under other defaults,
+    # a manifest that leaves a setting out gets them.
+    monkeypatch.setattr(SamplerConfig.__init__, "__defaults__", ("mcmc", None, 3, 7))
+    manifest, out = tmp_path / "m.json", tmp_path / "r.ndjson"
+    manifest.write_text(json.dumps({"config": config, "instances": [{"family": "cycle", "n": 6, "d": 2}]}))
+    assert main(["bench", str(manifest), "--out", str(out)]) == 0
+    (rec,) = map(json.loads, out.read_text().splitlines())
+    cfg = SamplerConfig(**({"num_samples": 2} if config else {}))
+    got = (rec["outputs"]["backend"], len(rec["outputs"]["cycle_counts"]), rec["seed"])
+    assert got == (cfg.resolve_backend(6), cfg.resolve_num_samples(6), cfg.seed)
+    assert got[0] == "mcmc" and got[2] == 7
