@@ -147,7 +147,7 @@ def reveal_audit(g: RegularDigraph) -> RevealAuditReport:
             open_arcs = [arc for arc in row_arcs[low.bit_length() - 1] if free & arc[1]]
             ways = [pairs.get((rest ^ low, free ^ bit), 0) for _, bit in open_arcs]
             s = len(open_arcs)
-            h = -sum(w / size * math.log2(w / size) for w in ways if w)  # _entropy's float
+            h = _entropy([w / size for w in ways])
             terms.append(scale * size * (math.log2(s) - h))
             for (a, _), w in zip(open_arcs, ways):
                 tallies[a][s - 1] += scale * w

@@ -429,7 +429,7 @@ def parse_graph(text: str):
 
     Raises ParseError when the text is not in the format, and GraphError
     when it is but the graph it gives breaks an invariant."""
-    lines = text.splitlines()
+    lines = text.split("\n")  # only "\n" ends a line, as in read_graph's count
     tokens = list(map(str.split, lines))
     # A blank line has no token; a comment's first token starts with "#".
     kept = [row for row in tokens if row and row[0][0] != "#"]

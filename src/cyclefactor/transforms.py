@@ -3,9 +3,9 @@ path-factors, and short tours of connected graphs.
 
 A directed cycle-factor of a doubled undirected graph maps to an
 undirected cycle decomposition (digons become single-edge 2-cycles).
-Removing one edge per cycle gives a path-factor; contracting cycles,
-spanning the contraction with a BFS tree, and detouring over tree edges
-gives a closed tour of length at most n + 2(c - 1).
+Dropping each cycle's closing edge gives a path-factor; contracting
+cycles, spanning the contraction with a BFS tree, and detouring over
+tree edges gives a closed tour of length n + 2(c - 1) for a factor.
 """
 
 from __future__ import annotations
@@ -88,25 +88,11 @@ def _cycle_index(cycles: tuple[tuple[int, ...], ...], n: int) -> list[int]:
 def to_path_factor(
     cycles: tuple[tuple[int, ...], ...], g: UndirectedRegularGraph
 ) -> PathFactor:
-    """Remove one edge per cycle, yielding one path per cycle. The cycles
-    must partition the vertices of g, as for ``to_tour``.
-
-    A 2-cycle keeps its edge and becomes a 2-vertex path; a singleton
-    stays a 1-vertex path. In longer cycles the removed edge is the one
-    whose endpoint pair is largest, for determinism: it joins the cycle's
-    largest vertex to the larger of its two neighbours, and the path runs
-    from the other end of that edge round to it.
-    """
+    """One path per cycle: the cycle less its closing edge, from its last
+    vertex back to its first. The cycles must partition the vertices of g,
+    as for ``to_tour``; a 2-cycle keeps its one edge, a singleton stays."""
     _cycle_index(cycles, g.n)
-    paths = []
-    for cyc in cycles:
-        if len(cyc) > 2:
-            top = cyc.index(max(cyc))
-            # cyc[-1] precedes cyc[0]; after the last vertex comes cyc[0].
-            start = top if cyc[top - 1] > cyc[(top + 1) % len(cyc)] else top + 1
-            cyc = cyc[start:] + cyc[:start]
-        paths.append(tuple(cyc))
-    return PathFactor(tuple(paths))
+    return PathFactor(tuple(cycles))
 
 
 def to_tour(cycles: tuple[tuple[int, ...], ...], g: UndirectedRegularGraph) -> Tour:
@@ -116,11 +102,12 @@ def to_tour(cycles: tuple[tuple[int, ...], ...], g: UndirectedRegularGraph) -> T
     contraction, rooted at the cycle containing vertex 0, scans each parent
     cycle in its listed order and neighbours in vertex order; the first edge
     (u, v) found into an unreached cycle makes it a child, entered at v by
-    a detour from u and back, and the detours at u go in increasing cycle
-    index. The walk goes round every cycle once and over every tree edge
-    twice, so its length is at most n + 2(c - 1). The BFS is the
-    connectivity check: when the cycles are cycles of g, it reaches every
-    one of them exactly when g is connected.
+    a detour from u and back, and the detours at u go in the order the
+    BFS found their cycles. The walk goes round every cycle once and over
+    every tree edge twice: n + 2(c - 1) edges if no cycle is a singleton,
+    as in a factor of a loopless graph. The BFS is the connectivity check:
+    when the cycles are cycles of g, it reaches every one of them exactly
+    when g is connected.
     """
     cyc_of = _cycle_index(cycles, g.n)
     root = cyc_of[0]
@@ -140,8 +127,6 @@ def to_tour(cycles: tuple[tuple[int, ...], ...], g: UndirectedRegularGraph) -> T
                     queue.append(cj)
     if None in entry:
         raise BadParameters("tour construction needs a connected graph")
-    for children in detours.values():
-        children.sort()
 
     # Work stack, last item first: a vertex to append, or a 1-tuple (cycle,)
     # to walk round from its entry back to it, detouring into children.

@@ -1,11 +1,12 @@
 """A plain line-by-line reader of the graph text format, from bytes: the
 reference that ``graphs.read_graph`` is checked against.
 
-It takes one line at a time, in file order, and checks each thing as it
-meets it: the UTF-8 of each line, then blank and ``#`` lines, the header,
-the number of body lines, and on each body line first a token that is no
-integer, then the count of neighbours. The graph is built through the
-package's constructors, which check its invariants.
+It takes one line at a time, in file order (a line ends at "\n" only),
+and checks each thing as it meets it: the UTF-8 of each line, then blank
+and ``#`` lines, the header, the number of body lines, and on each body
+line first a token that is no integer, then the count of neighbours.
+The graph is built through the package's constructors, which check its
+invariants.
 """
 
 from cyclefactor.errors import ParseError
@@ -24,7 +25,7 @@ def reference_read_graph(data: bytes):
             raise ParseError(lineno, f"not UTF-8 text: {e.reason}") from None
     header = None
     body = []
-    for lineno, line in enumerate(data.decode("utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(data.decode("utf-8").split("\n"), start=1):
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
             continue

@@ -347,6 +347,8 @@ def _error_inputs(tmp):
     write_graph(gen_random_regular_digraph(60, 10, 1), tmp / "random60.digraph")
     (tmp / "bad.digraph").write_text("digraph 2 1\n1\n1\n")
     (tmp / "d_over_n.digraph").write_text("digraph 1 2\n0 0\n")
+    (tmp / "formfeed.digraph").write_bytes(b"digraph 1 1\x0c\nx\n")
+    (tmp / "cr_crlf.digraph").write_bytes(b"digraph 2 1\r\r\n1\n0 x\n")
     (tmp / "notjson.json").write_text("{")
     (tmp / "list.json").write_text("[]")
     (tmp / "shape.json").write_text(json.dumps({"config": [], "instances": []}))
@@ -402,6 +404,16 @@ ERROR_CASES = [
         ["verify", "{tmp}/d_over_n.digraph"],
         2, "bad graph file {tmp}/d_over_n.digraph: need 1 <= d <= n, got d=2, n=1",
         id="graph-file-d-over-n"),
+    # Lines end at "\n" only, as read_graph counts them for a UTF-8 fault:
+    # a form feed or a lone "\r" is whitespace inside a line.
+    pytest.param(
+        ["verify", "{tmp}/formfeed.digraph"],
+        2, "bad graph file {tmp}/formfeed.digraph: line 2: non-integer vertex in 'x'",
+        id="graph-file-form-feed-ends-no-line"),
+    pytest.param(
+        ["verify", "{tmp}/cr_crlf.digraph"],
+        2, "bad graph file {tmp}/cr_crlf.digraph: line 3: non-integer vertex in '0 x'",
+        id="graph-file-lone-cr-ends-no-line"),
     pytest.param(
         ["verify", "{tmp}"],
         4, "cannot read {tmp}: [Errno 21] Is a directory: '{tmp}'", id="graph-file-is-directory"),

@@ -101,10 +101,11 @@ class TestPathFactor:
 
     def test_deterministic_edge_removal(self):
         c5 = gen_family("cycle", 5, 2)
-        cycles = ((0, 1, 2, 3, 4),)
-        assert to_path_factor(cycles, c5) == to_path_factor(cycles, c5)
-        # the removed edge is (4, 3): walk restarts right after it
-        assert to_path_factor(cycles, c5).paths[0][0] == 4
+        # The removed edge is the closing one, back to vertex 0: the path is
+        # the cycle, both ways round.
+        for cycles in (((0, 1, 2, 3, 4),), ((0, 4, 3, 2, 1),)):
+            assert to_path_factor(cycles, c5) == to_path_factor(cycles, c5)
+            assert to_path_factor(cycles, c5).paths == cycles
 
     @pytest.mark.parametrize("cycles", [((0, 1, 2, -1),), ((0, 1, 2, 4),)])
     def test_out_of_range_vertex_rejected(self, cycles):
@@ -145,7 +146,8 @@ class TestTour:
             cycles = to_undirected_cycle_factor(cf, PETERSEN)
             t = to_tour(cycles, PETERSEN)
             assert verify_tour(t, PETERSEN).ok
-            assert t.length <= 10 + 2 * (len(cycles) - 1)
+            # A factor has no singleton, so each detour adds exactly 2.
+            assert t.length == 10 + 2 * (len(cycles) - 1)
 
     def test_disconnected_rejected(self):
         g = gen_family("clique_union", 8, 3)
@@ -255,16 +257,7 @@ class TestVerifiers:
                 assert verify_path_factor(to_path_factor(cycles, g), g).ok
 
 
-def reference_cut_path(cyc):
-    """The path that to_path_factor made of a cycle longer than 2 before it
-    read the cut off the largest vertex: it cut the edge whose sorted
-    endpoint pair is largest, found by a scan over every edge."""
-    ln = len(cyc)
-    cut = max(range(ln), key=lambda i: tuple(sorted((cyc[i], cyc[(i + 1) % ln]), reverse=True)))
-    return tuple(cyc[(cut + 1 + j) % ln] for j in range(ln))
-
-
-class TestPathCutReference:
+class TestPathIsCycle:
     def test_every_cycle_of_sampled_factors(self):
         # The circulant i ~ i +- 1, i +- 5 has factors with long cycles.
         n = 40
@@ -277,26 +270,29 @@ class TestPathCutReference:
         for _ in range(200):
             cycles = sampler.sample(rng).cycles
             lengths.update(map(len, cycles))
-            # Every rotation, both ways round, puts the largest vertex of
-            # each cycle at every position, the first and the last included.
+            # Every rotation, both ways round: each cycle is cut at its
+            # closing edge, wherever it starts.
             for turn in (cycles, tuple(c[::-1] for c in cycles)):
                 for r in range(max(map(len, turn))):
                     rotated = tuple(c[r % len(c):] + c[:r % len(c)] for c in turn)
-                    expected = tuple(reference_cut_path(c) if len(c) > 2 else c for c in rotated)
-                    assert to_path_factor(rotated, g).paths == expected
+                    pf = to_path_factor(rotated, g)
+                    assert pf.paths == rotated
+                    assert verify_path_factor(pf, g).ok
         assert max(lengths) > 20 and {2, 3} & lengths
 
 
 def reference_tour(cycles, g):
     """to_tour as it was before it kept one tree: the BFS stored a
     (parent-side, child-side) edge and a visited flag per cycle, and the
-    detours went in one dict per cycle."""
+    detours went in one dict per cycle, each child appended as the BFS
+    reached it."""
     cyc_of = _cycle_index(cycles, g.n)
     c = len(cycles)
     root = cyc_of[0]
     parent_link = [None] * c
     visited = [False] * c
     visited[root] = True
+    detours = [dict() for _ in range(c)]
     queue = deque([root])
     while queue:
         ci = queue.popleft()
@@ -306,14 +302,10 @@ def reference_tour(cycles, g):
                 if not visited[cj]:
                     visited[cj] = True
                     parent_link[cj] = (u, v)
+                    detours[ci].setdefault(u, []).append(cj)
                     queue.append(cj)
     if not all(visited):
         raise BadParameters("tour construction needs a connected graph")
-    detours = [dict() for _ in range(c)]
-    for cj in range(c):
-        if parent_link[cj] is not None:
-            u, _ = parent_link[cj]
-            detours[cyc_of[u]].setdefault(u, []).append(cj)
     walk = []
     todo = [(root, 0)]
     while todo:
