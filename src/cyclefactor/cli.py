@@ -238,18 +238,18 @@ def _bench_outputs(g, cfg: SamplerConfig) -> dict:
 def _existing_keys(out_path: Path) -> set:
     """Keys of the complete records already in the results file.
 
-    A last line without its newline is what an interrupted append leaves:
-    it is cut off, so the next record starts on a fresh line and that
-    instance runs again."""
+    Only a newline ends a line, as in a graph file. A last line without
+    its newline is what an interrupted append leaves: it is cut off, so
+    the next record starts on a fresh line and that instance runs again."""
     try:
         data = out_path.read_bytes()
     except FileNotFoundError:
         return set()
     except OSError as e:
         raise OSError(f"cannot read results: {e}") from None
-    complete = data[: data.rfind(b"\n") + 1]
+    *lines, torn = data.split(b"\n")
     keys = set()
-    for lineno, line in enumerate(complete.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -257,9 +257,9 @@ def _existing_keys(out_path: Path) -> set:
             keys.add((rec["instance_hash"], rec["config_hash"], rec["seed"]))
         except (ValueError, KeyError, TypeError) as e:
             raise BadParameters(f"bad results file {out_path}, line {lineno}: {e}") from None
-    if len(complete) < len(data):
+    if torn:
         with out_path.open("r+b") as fh:
-            fh.truncate(len(complete))
+            fh.truncate(len(data) - len(torn))
     return keys
 
 

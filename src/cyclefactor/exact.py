@@ -173,7 +173,8 @@ def completion_levels(out_adj):
 
 def permanent(out_adj) -> int:
     """Exact permanent of the 0/1 matrix whose row r has ones in the
-    columns ``out_adj[r]``, such as a digraph's out-rows (``to_bipartite``).
+    columns ``out_adj[r]``. For a digraph's out-rows it counts the
+    digraph's cycle-factors, the perfect matchings of its bipartite graph.
 
     Counts perfect matchings: the entry for the empty set in the last
     level of ``completion_levels``, which pushes the rows in frontier

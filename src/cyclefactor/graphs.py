@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from itertools import chain
 from operator import attrgetter, contains
 from pathlib import Path
@@ -27,9 +26,7 @@ __all__ = [
     "UndirectedRegularGraph",
     "CycleFactor",
     "require_valid",
-    "to_bipartite",
     "in_rows",
-    "double_undirected",
     "gen_random_regular_digraph",
     "FAMILIES",
     "gen_family",
@@ -114,9 +111,7 @@ class RegularDigraph(Record):
         return cls(n, d, tuple(tuple(sorted(row)) for row in out_adj))
 
     def has_edge(self, u: int, v: int) -> bool:
-        row = self.out_adj[u]
-        k = bisect_left(row, v)
-        return k < len(row) and row[k] == v
+        return v in self.out_adj[u]
 
 
 class UndirectedRegularGraph(RegularDigraph):
@@ -191,8 +186,8 @@ def require_valid(g) -> tuple[tuple[int, ...], ...]:
     """Raise the first invariant violation of g, if any, as a GraphError;
     else return the transpose of its rows, which graphs keep as ``in_adj``.
 
-    Graphs call this when built. Rows must be strictly increasing
-    (``has_edge`` bisects them) and have exactly d entries in [0, n).
+    Graphs call this when built. Rows must be strictly increasing (so
+    equal graphs compare equal) and have exactly d entries in [0, n).
     A digraph must give every vertex in-degree d; undirected rows must be
     loop-free and symmetric instead, and are their own transpose.
     """
@@ -247,7 +242,8 @@ def to_bipartite(g: RegularDigraph) -> tuple[tuple[int, ...], ...]:
     """The biadjacency rows of the auxiliary bipartite graph whose perfect
     matchings are the cycle-factors of g: U-side vertex u connects to
     V-side vertex v exactly when (u, v) is an arc of g, so they are
-    ``g.out_adj`` itself."""
+    ``g.out_adj`` itself.
+    Kept, out of ``__all__``, for perfbench/decompose.py (ROADMAP item 16)."""
     return g.out_adj
 
 
@@ -265,7 +261,8 @@ def in_rows(out_adj) -> list[list[int]]:
 def double_undirected(g: UndirectedRegularGraph) -> RegularDigraph:
     """Direct every edge of g in both directions. The result is d-regular
     and loop-free; every arc's reverse is present. g already stores these
-    rows, so the result differs from g only in type."""
+    rows, so the result differs from g only in type.
+    Kept, out of ``__all__``, for perfbench/decompose.py (ROADMAP item 16)."""
     return RegularDigraph(g.n, g.d, g.out_adj)
 
 

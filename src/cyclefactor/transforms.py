@@ -21,7 +21,6 @@ __all__ = [
     "PathFactor",
     "Tour",
     "CheckReport",
-    "to_undirected_cycle_factor",
     "to_path_factor",
     "to_tour",
     "verify_path_factor",
@@ -63,6 +62,7 @@ def to_undirected_cycle_factor(
     Directed cycles of length >= 3 become undirected cycles; digons become
     single-edge 2-cycles [u, v]. The result partitions the vertex set;
     g has no loops, so it has no 1-cycles.
+    Kept, out of ``__all__``, for perfbench/decompose.py (ROADMAP item 16).
     """
     if not cf.is_factor_of(g):
         raise BadParameters("input is not a cycle-factor of the doubled graph")

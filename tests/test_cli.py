@@ -728,6 +728,17 @@ class TestBench:
         assert "line 1" in err
         assert out.read_text() == "not json\n"
 
+    def test_carriage_return_ends_no_results_line(self, tmp_path, capsys):
+        # As in a graph file, only "\n" ends a line: the lone "\r"s are
+        # inside line 1, which is not JSON.
+        out = tmp_path / "r.ndjson"
+        out.write_bytes(b"\r\rnot json\n")
+        code, stdout, err = run(capsys, "bench", self.manifest(tmp_path), "--out", out)
+        assert (code, stdout) == (2, "")
+        assert err == (f"bad results file {out}, line 1: Expecting value:"
+                       " line 1 column 3 (char 2)\n")
+        assert out.read_bytes() == b"\r\rnot json\n"
+
     def partial_failure(self, tmp_path, capsys, instance, error):
         # A bad instance is reported on stderr and the run goes on: the
         # good instance after it gets its record, and bench exits 2.

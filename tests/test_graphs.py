@@ -133,7 +133,8 @@ class TestValidateDigraph:
         assert str(e.value) == message
 
     def test_unsorted_row_rejected(self):
-        # has_edge bisects rows, so (1, 0) would hide the loop at 0.
+        # Rows are sorted so that equal graphs compare equal: (1, 0) would
+        # make a second record of the graph whose row 0 is (0, 1).
         with pytest.raises(GraphError, match="^row 0 is not strictly increasing$"):
             RegularDigraph(2, 2, ((1, 0), (0, 1)))
 

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import json
 import os
@@ -132,6 +133,30 @@ def test_one_family_list():
         if isinstance(node, ast.Constant) and node.value in FAMILIES
     ]
     assert not stray, stray
+
+
+def test_one_statement_of_the_api_init_reexports_nothing():
+    # The modules' __all__ lists are the package's API; __init__.py keeps
+    # no second, partial copy of it, so it imports nothing and binds only
+    # __version__.
+    docstring, *body = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    assert len(body) == 1 and isinstance(body[0], ast.Assign), [ast.unparse(node) for node in body]
+    assert ast.unparse(body[0].targets) == "__version__"
+
+
+def test_one_statement_of_the_api_all_lists_bound_names():
+    # Every name a module lists in __all__ is bound there. The three helpers
+    # that only the benchmark's decomposition calls are left out of it.
+    listed = set()
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        module = importlib.import_module(f"cyclefactor.{path.stem}")
+        names = getattr(module, "__all__", ())
+        unbound = [name for name in names if not hasattr(module, name)]
+        assert not unbound, (path.name, unbound)
+        listed.update(names)
+    assert {"RegularDigraph", "cycle_law", "hopcroft_karp", "derive_seed"} <= listed
+    assert not {"to_bipartite", "double_undirected", "to_undirected_cycle_factor"} & listed
 
 
 @pytest.mark.parametrize("config", [{}, {"samples": 2}], ids=["empty", "samples"])
