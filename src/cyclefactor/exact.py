@@ -2,14 +2,14 @@
 
 One counting pass over column sets (``completion_levels``, rows pushed
 in the order that keeps the fewest columns open, sets that leave a
-closed column free dropped, exact big integers, bounded by MAX_STATES
+closed column free dropped, exact big integers, at most MAX_STATES
 states per level), a dynamic programme over cycles in canonical order
 that gives the law of the cycle count (the number of factors with each
-cycle count) without listing factors (``cycle_law``, bounded by
-CENSUS_MAX_STATES states held), exact expected cycle count as a
-rational, the matching-count bound audits, and the entropy-loss ledger.
-The two state budgets are the only limits: no instance is refused for
-its number of factors.
+cycle count) without listing factors (``cycle_law``, at most MAX_STATES
+states held), exact expected cycle count as a rational, the
+matching-count bound audits, and the entropy-loss ledger. MAX_STATES,
+the one state budget, is the only limit: no instance is refused for its
+number of factors.
 """
 
 from __future__ import annotations
@@ -24,23 +24,20 @@ from .graphs import Record, RegularDigraph, in_rows
 
 __all__ = [
     "MAX_STATES",
-    "CENSUS_MAX_STATES",
     "BoundCheck",
     "OracleReport",
     "completion_levels",
     "permanent",
     "cycle_law",
-    "exact_expected_cycles",
     "cycle_bound",
     "audit_bounds",
     "entropy_loss",
     "build_report",
 ]
 
-MAX_STATES = 1 << 20
 # A census state costs about 120 bytes, so a census refused here peaks
 # near 140 MB of RSS (random n=24 d=4).
-CENSUS_MAX_STATES = 1 << 20
+MAX_STATES = 1 << 20
 
 
 class BoundCheck(Record):
@@ -54,10 +51,6 @@ class OracleReport(Record):
 
     __slots__ = _fields = (
         "n", "d", "matching_count", "expected_cycles", "entropy_loss", "bound_audit")
-
-    @property
-    def all_bounds_hold(self) -> bool:
-        return all(b.holds for b in self.bound_audit)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -200,7 +193,7 @@ def cycle_law(g: RegularDigraph) -> dict[int, int]:
     S, plus h), or once such a row has no out-neighbour among such columns:
     it completes to no factor, so the law is unchanged. Raises
     SizeLimitExceeded as soon as the two levels in hand hold more than
-    CENSUS_MAX_STATES states.
+    MAX_STATES states.
     """
     n, d = g.n, g.d
     out_adj, in_adj = g.out_adj, g.in_adj
@@ -256,10 +249,8 @@ def cycle_law(g: RegularDigraph) -> dict[int, int]:
                         break
                 else:
                     nxt[key] = nxt.get(key, 0) + stepped
-            if len(level) + len(nxt) > CENSUS_MAX_STATES:
-                raise SizeLimitExceeded(
-                    f"cycle census holds over {CENSUS_MAX_STATES} states at level {k}"
-                )
+            if len(level) + len(nxt) > MAX_STATES:
+                raise SizeLimitExceeded(f"cycle census holds over {MAX_STATES} states at level {k}")
         level = nxt
     digit = (1 << b) - 1
     law = {}
@@ -283,12 +274,6 @@ def factor_census(g: RegularDigraph) -> tuple[int, int]:
     if count != expected:
         raise AssertionError(f"cycle census counts {count} factors, the permanent {expected}")
     return count, sum(c * ways for c, ways in law.items())
-
-
-def exact_expected_cycles(g: RegularDigraph) -> Fraction:
-    """Expected cycle count of a uniformly random cycle-factor, exact."""
-    count, cycle_sum = factor_census(g)
-    return Fraction(cycle_sum, count)
 
 
 def entropy_loss(g: RegularDigraph, matching_count: int) -> float:

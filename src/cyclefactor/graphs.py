@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import chain
-from operator import attrgetter, contains
+from operator import contains
 from pathlib import Path
 
 from .errors import BadParameters, GraphError, ParseError
@@ -49,12 +49,6 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls):
-        # _value(record) is the tuple of the fields in order; attrgetter of
-        # one name gives the bare value.
-        get = attrgetter(*cls._fields)
-        cls._value = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
-
     def __init__(self, *args, **kwargs):
         # The keywords must name exactly the fields after the positionals:
         # that refuses a missing, repeated or unknown field.
@@ -67,16 +61,19 @@ class Record:
         for name, value in chain(zip(fields, args), kwargs.items()):
             object.__setattr__(self, name, value)
 
+    def _value(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._value(self) == other._value(other)
+            return self._value() == other._value()
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._value(self))
+        return hash(self._value())
 
     def __repr__(self):
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._value()))
         return f"{self.__class__.__qualname__}({args})"
 
     def __setattr__(self, name, value):
@@ -86,7 +83,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, self._value(self)
+        return self.__class__, self._value()
 
 
 class RegularDigraph(Record):
@@ -109,9 +106,6 @@ class RegularDigraph(Record):
     @classmethod
     def from_lists(cls, n: int, d: int, out_adj) -> "RegularDigraph":
         return cls(n, d, tuple(tuple(sorted(row)) for row in out_adj))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.out_adj[u]
 
 
 class UndirectedRegularGraph(RegularDigraph):

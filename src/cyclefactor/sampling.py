@@ -17,7 +17,7 @@ import threading
 from collections import deque
 
 from .errors import BadParameters, SizeLimitExceeded, StepBudgetExhausted
-from .exact import MAX_STATES, completion_levels
+from . import exact
 from .graphs import CycleFactor, Record, RegularDigraph
 
 __all__ = [
@@ -32,12 +32,12 @@ __all__ = [
     "MinFactorResult",
 ]
 
-# The exact table holds at most every column subset, 2^n entries, so up
-# to this n it fits in MAX_STATES whatever order completion_levels pushes
-# the rows in. Past it, the fit depends on the widths of the levels in
-# push order, not on n: doubled C40 needs 79 entries, random 48/3 at
+# The exact table holds at most every column subset, 2^n entries, so up to
+# this n it fits in exact.MAX_STATES whatever order completion_levels
+# pushes the rows in. Past it, the fit depends on the widths of the levels
+# in push order, not on n: doubled C40 needs 79 entries, random 48/3 at
 # seed 1 99,653, random 40/4 at seed 1 2,031,164 (refused).
-EXACT_MAX_N = MAX_STATES.bit_length() - 1
+EXACT_MAX_N = exact.MAX_STATES.bit_length() - 1
 _MASK64 = (1 << 64) - 1
 # MCMC min-of-k runs split across processes from this many chain steps in
 # all (k times the budget). A two-process split costs 4.7-4.9 ms more than
@@ -206,19 +206,21 @@ class ExactFactorSampler:
     taken by the rows walked so far, each looked up in the walked row's own
     level, and picks each row's column with a single uniform integer: the
     count-ratio (permanent-ratio) sequential scheme, exactly. The levels
-    hold at most MAX_STATES entries in all, enough for any n <= EXACT_MAX_N.
+    hold at most exact.MAX_STATES entries in all, enough for any
+    n <= EXACT_MAX_N.
     """
 
     def __init__(self, g: RegularDigraph):
         self.graph = g
         self._walk = deque()  # (row, its columns, the level it is pushed from)
         held = 0
-        for row, level in completion_levels(g.out_adj):
+        for row, level in exact.completion_levels(g.out_adj):
             if row is not None:
                 self._walk.appendleft((row, g.out_adj[row], source))
             held += len(level)
-            if held > MAX_STATES:
-                raise SizeLimitExceeded(f"exact sampler table holds over {MAX_STATES} column sets")
+            if held > exact.MAX_STATES:
+                raise SizeLimitExceeded(
+                    f"exact sampler table holds over {exact.MAX_STATES} column sets")
             source = level
         self.total = level.get(0, 0)
 

@@ -517,10 +517,12 @@ def test_failed_revalidation_exit_code_and_stderr(tmp_path, capsys, monkeypatch,
 
 
 def test_verify_refused_at_census_budget(tmp_path, capsys, monkeypatch):
+    # K4 with loops: the counting pass runs first, under the same budget,
+    # and its widest level holds 6 sets; the census needs 20 states.
     write_graph(gen_family("complete_loops", 4, 4), tmp_path / "k4.digraph")
-    monkeypatch.setattr(exact, "CENSUS_MAX_STATES", 4)
+    monkeypatch.setattr(exact, "MAX_STATES", 6)
     got = run(capsys, "verify", tmp_path / "k4.digraph")
-    assert got == (3, "", "infeasible: cycle census holds over 4 states at level 1;"
+    assert got == (3, "", "infeasible: cycle census holds over 6 states at level 2;"
                           " try the sampling subcommands instead\n")
 
 

@@ -9,13 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from cyclefactor import exact, sampling
+from cyclefactor import exact
 from cyclefactor.errors import SizeLimitExceeded
 from cyclefactor.exact import (
     audit_bounds,
     build_report,
     entropy_loss,
-    exact_expected_cycles,
     factor_census,
     permanent,
 )
@@ -43,7 +42,7 @@ def factor_count(g):
 
 
 def audit(g):
-    return audit_bounds(g, factor_count(g), exact_expected_cycles(g))
+    return audit_bounds(g, factor_count(g), build_report(g).expected_cycles)
 
 
 # A digraph whose auxiliary bipartite graph is the 8-cycle; it has
@@ -161,10 +160,10 @@ class TestFrontierOrder:
         monkeypatch.setattr(exact, "MAX_STATES", 2)
         doubled = double_undirected(gen_family("cycle", 40, 2))
         assert permanent(to_bipartite(doubled)) == 4
-        monkeypatch.setattr(sampling, "MAX_STATES", 78)
+        monkeypatch.setattr(exact, "MAX_STATES", 78)
         with pytest.raises(SizeLimitExceeded, match="over 78 column sets"):
             ExactFactorSampler(doubled)
-        monkeypatch.setattr(sampling, "MAX_STATES", 79)
+        monkeypatch.setattr(exact, "MAX_STATES", 79)
         sampler = ExactFactorSampler(doubled)
         assert sampler.total == 4
         rng = random.Random(0)
@@ -387,10 +386,10 @@ class TestCycleCensus:
     def test_state_budget(self, monkeypatch):
         # K8 with loops: the levels |S| = 5 and 6 hold 259 + 245 = 504
         # states, more than any other adjacent pair.
-        monkeypatch.setattr(exact, "CENSUS_MAX_STATES", 503)
+        monkeypatch.setattr(exact, "MAX_STATES", 503)
         with pytest.raises(SizeLimitExceeded, match="over 503 states at level 5"):
             exact.cycle_law(complete_loops(8))
-        monkeypatch.setattr(exact, "CENSUS_MAX_STATES", 504)
+        monkeypatch.setattr(exact, "MAX_STATES", 504)
         assert exact.cycle_law(complete_loops(8)) == stirling_law(8)
 
     @pytest.mark.parametrize("n, d, law", [
@@ -403,10 +402,10 @@ class TestCycleCensus:
     def test_random_12_3_state_count(self, monkeypatch):
         # Random 12/3 (seed 1): the two levels in hand peak at 288 states.
         g = gen_random_regular_digraph(12, 3, 1)
-        monkeypatch.setattr(exact, "CENSUS_MAX_STATES", 287)
+        monkeypatch.setattr(exact, "MAX_STATES", 287)
         with pytest.raises(SizeLimitExceeded, match="over 287 states at level 7$"):
             exact.cycle_law(g)
-        monkeypatch.setattr(exact, "CENSUS_MAX_STATES", 288)
+        monkeypatch.setattr(exact, "MAX_STATES", 288)
         assert exact.cycle_law(g) == {1: 22, 2: 53, 3: 49, 4: 13, 5: 4}
 
     def test_double_count_checked_under_optimize(self):
@@ -428,26 +427,26 @@ class TestCycleCensus:
 
     def test_budget_refusal_in_census(self, monkeypatch):
         # The counting pass fits (36 factors); the census itself is refused.
-        monkeypatch.setattr(exact, "CENSUS_MAX_STATES", 4)
+        monkeypatch.setattr(exact, "MAX_STATES", 4)
         with pytest.raises(SizeLimitExceeded, match="cycle census holds over 4 states"):
             factor_census(gen_family("complete_loops", 6, 3))
 
 
 class TestExpectedCycles:
     def test_complete_3(self):
-        assert exact_expected_cycles(complete_loops(3)) == Fraction(11, 6)
+        assert build_report(complete_loops(3)).expected_cycles == Fraction(11, 6)
 
     def test_complete_4_is_h4(self):
-        assert exact_expected_cycles(complete_loops(4)) == Fraction(25, 12)
+        assert build_report(complete_loops(4)).expected_cycles == Fraction(25, 12)
 
     def test_directed_cycle_is_1(self):
         for n in (3, 5, 8):
-            assert exact_expected_cycles(directed_cycle(n)) == 1
+            assert build_report(directed_cycle(n)).expected_cycles == 1
 
     def test_harmonic_numbers(self):
         for n in range(1, 7):
             h = sum(Fraction(1, k) for k in range(1, n + 1))
-            assert exact_expected_cycles(complete_loops(n)) == h
+            assert build_report(complete_loops(n)).expected_cycles == h
 
 
 class TestAuditBounds:
@@ -512,7 +511,7 @@ class TestReport:
         report = build_report(complete_loops(4))
         assert report.matching_count == 24
         assert report.expected_cycles == Fraction(25, 12)
-        assert report.all_bounds_hold
+        assert all(b.holds for b in report.bound_audit)
         assert 1 <= float(report.expected_cycles) <= report.n
         payload = report.to_json()
         assert '"matching_count": "24"' in payload

@@ -84,6 +84,24 @@ def test_one_transpose_builder():
     assert not stray, stray
 
 
+def test_one_state_budget():
+    # exact.MAX_STATES bounds a counting level, the exact sampler's table
+    # and the census's two levels in hand. exact.py binds it once and binds
+    # no other *MAX_STATES; no module imports it by value, so patching that
+    # one name moves all three bounds.
+    bound = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                names = [ast.unparse(node)]
+            elif isinstance(node, ast.alias):
+                names = [node.name, node.asname or ""]
+            else:
+                continue
+            bound += [f"{path.name}: {name}" for name in names if name.endswith("MAX_STATES")]
+    assert bound == ["exact.py: MAX_STATES"], bound
+
+
 def test_one_record_constructor():
     # Record.__init__ sets every record's fields. The one other setter is
     # RegularDigraph.__init__'s in_adj, the transpose, which is no field; a

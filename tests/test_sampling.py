@@ -11,9 +11,9 @@ from fractions import Fraction
 import pytest
 from scipy.stats import chi2_contingency, chisquare
 
-from cyclefactor import sampling
+from cyclefactor import exact, sampling
 from cyclefactor.errors import BadParameters, SizeLimitExceeded, StepBudgetExhausted
-from cyclefactor.exact import exact_expected_cycles
+from cyclefactor.exact import build_report
 from cyclefactor.graphs import (
     RegularDigraph,
     double_undirected,
@@ -164,7 +164,7 @@ class TestExactSampler:
 
     def test_mean_cycles_matches_oracle_complete_5(self):
         g = complete_loops(5)
-        exp = float(exact_expected_cycles(g))  # H_5 = 137/60
+        exp = float(build_report(g).expected_cycles)  # H_5 = 137/60
         sampler = ExactFactorSampler(g)
         rng = random.Random(11)
         draws = 20_000
@@ -175,10 +175,10 @@ class TestExactSampler:
 
     def test_state_budget(self, monkeypatch):
         # K8's table holds all 2^8 = 256 column sets; no level holds more than 70.
-        monkeypatch.setattr(sampling, "MAX_STATES", 255)
+        monkeypatch.setattr(exact, "MAX_STATES", 255)
         with pytest.raises(SizeLimitExceeded):
             ExactFactorSampler(complete_loops(8))
-        monkeypatch.setattr(sampling, "MAX_STATES", 256)
+        monkeypatch.setattr(exact, "MAX_STATES", 256)
         assert ExactFactorSampler(complete_loops(8)).total == math.factorial(8)
 
     def test_doubled_c40_past_n20(self):
@@ -219,7 +219,7 @@ class TestMCMCSampler:
 
     def test_mean_cycles_near_oracle(self):
         g = gen_random_regular_digraph(6, 3, 5)
-        exp = float(exact_expected_cycles(g))
+        exp = float(build_report(g).expected_cycles)
         sampler = MCMCFactorSampler(g, 2000)
         rng = random.Random(4)
         draws = 2000
