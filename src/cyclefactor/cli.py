@@ -12,19 +12,17 @@ JSON apart from wall-clock fields.
 
 from __future__ import annotations
 
+# Only what every subcommand needs is imported here; each function
+# imports the rest where it runs, so a process loads and compiles only
+# the modules of its subcommand (``gen`` needs none of them).
 import argparse
 import functools
-import hashlib
-import json
 import math
 import sys
 import time
-from pathlib import Path
 
 from . import __version__
-from .entropy import REVEAL_MAX_N, reveal_audit
 from .errors import BadParameters, CycleFactorError, GraphError, ParseError, SizeLimitExceeded
-from .exact import build_report, cycle_bound
 from .graphs import (
     FAMILIES,
     RegularDigraph,
@@ -34,8 +32,6 @@ from .graphs import (
     graph_to_text,
     read_graph,
 )
-from .sampling import MinFactorResult, SamplerConfig, min_cycle_factor
-from .transforms import to_path_factor, to_tour, verify_path_factor, verify_tour
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -48,6 +44,7 @@ ORACLE_MAX_N = 8  # bench reports the exact oracle for n <= ORACLE_MAX_N
 def instance_hash(g, as_digraph: bool = False) -> str:
     """The first 16 hex digits of the sha256 of g's text; with as_digraph,
     of its doubled digraph's text: the same rows under a digraph header."""
+    import hashlib
     text = graph_to_text(g)
     if as_digraph:
         text = f"digraph {g.n} {g.d}\n" + text.partition("\n")[2]
@@ -60,12 +57,14 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as e:
         raise OSError(f"cannot write {out}: {e}") from None
 
 
 def _emit(payload: dict, out: str | None) -> None:
+    import json
     _write(json.dumps(payload, sort_keys=True) + "\n", out)
 
 
@@ -89,12 +88,14 @@ def _checked(obj, verify, g, what: str):
 
 def _path_fields(g: UndirectedRegularGraph, cycles) -> dict:
     """The fields of the path-factor patched from g's cycles, re-validated."""
+    from .transforms import to_path_factor, verify_path_factor
     pf = _checked(to_path_factor(cycles, g), verify_path_factor, g, "path-factor")
     return {"paths": [list(p) for p in pf.paths], "path_count": pf.num_paths}
 
 
 def _tour_fields(g: UndirectedRegularGraph, cycles) -> dict:
     """The fields of the tour patched from g's cycles, re-validated."""
+    from .transforms import to_tour, verify_tour
     tour = _checked(to_tour(cycles, g), verify_tour, g, "tour")
     return {
         "walk": list(tour.walk),
@@ -105,6 +106,7 @@ def _tour_fields(g: UndirectedRegularGraph, cycles) -> dict:
 
 def _min_factor(g: RegularDigraph, cfg: SamplerConfig) -> MinFactorResult:
     """Min-of-k on g, its best factor re-validated against g."""
+    from .sampling import min_cycle_factor
     result = min_cycle_factor(g, cfg)
     if not result.factor.is_factor_of(g):
         raise BadParameters("sampled object failed independent re-validation")
@@ -132,6 +134,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import json
+    from .entropy import REVEAL_MAX_N, reveal_audit
+    from .exact import build_report
     g = _load_graph(args.path)
     try:
         report = build_report(g)
@@ -170,6 +175,8 @@ def cmd_sample(args) -> int:
     patches the factor's cycles into it, ``construction`` names it. An
     undirected g is sampled as the doubled digraph whose rows it stores,
     and its instance hashed as that digraph."""
+    from .exact import cycle_bound
+    from .sampling import SamplerConfig
     g = _load_graph(args.path)
     if args.fields is not None and not isinstance(g, UndirectedRegularGraph):
         raise BadParameters(f"{args.construction} construction needs an undirected graph")
@@ -220,6 +227,8 @@ def _bench_instance(desc) -> tuple[str, object]:
 
 
 def _bench_outputs(g, cfg: SamplerConfig) -> dict:
+    import json
+    from .exact import build_report
     outputs: dict = {}
     if g.n <= ORACLE_MAX_N:
         outputs["oracle"] = json.loads(build_report(g).to_json())
@@ -235,14 +244,16 @@ def _bench_outputs(g, cfg: SamplerConfig) -> dict:
     return outputs
 
 
-def _existing_keys(out_path: Path) -> set:
+def _existing_keys(out_path: str) -> set:
     """Keys of the complete records already in the results file.
 
     Only a newline ends a line, as in a graph file. A last line without
     its newline is what an interrupted append leaves: it is cut off, so
     the next record starts on a fresh line and that instance runs again."""
+    import json
     try:
-        data = out_path.read_bytes()
+        with open(out_path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         return set()
     except OSError as e:
@@ -258,14 +269,18 @@ def _existing_keys(out_path: Path) -> set:
         except (ValueError, KeyError, TypeError) as e:
             raise BadParameters(f"bad results file {out_path}, line {lineno}: {e}") from None
     if torn:
-        with out_path.open("r+b") as fh:
+        with open(out_path, "r+b") as fh:
             fh.truncate(len(data) - len(torn))
     return keys
 
 
 def cmd_bench(args) -> int:
+    import hashlib
+    import json
+    from .sampling import SamplerConfig
     try:
-        manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+        with open(args.manifest, encoding="utf-8") as fh:
+            manifest = json.load(fh)
     except OSError as e:
         raise OSError(f"cannot read manifest: {e}") from None
     except ValueError as e:  # not JSON, or not UTF-8
@@ -283,7 +298,7 @@ def cmd_bench(args) -> int:
         cfg = SamplerConfig(**{"num_samples" if k == "samples" else k: v for k, v in config.items()})
     except BadParameters as e:
         raise BadParameters(f"bad manifest: {e}") from None
-    out_path = Path(args.out) if args.out else Path("bench_results.ndjson")
+    out_path = args.out or "bench_results.ndjson"
     config_hash = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()
     ).hexdigest()[:16]
@@ -292,7 +307,7 @@ def cmd_bench(args) -> int:
     seed = cfg.seed
     errors = []
     try:
-        fh = out_path.open("a", encoding="utf-8")
+        fh = open(out_path, "a", encoding="utf-8")
     except OSError as e:
         raise OSError(f"cannot write results: {e}") from None
     with fh:

@@ -15,9 +15,7 @@ number of factors.
 from __future__ import annotations
 
 import heapq
-import json
 import math
-from fractions import Fraction
 
 from .errors import SizeLimitExceeded
 from .graphs import Record, RegularDigraph, in_rows
@@ -53,6 +51,7 @@ class OracleReport(Record):
         "n", "d", "matching_count", "expected_cycles", "entropy_loss", "bound_audit")
 
     def to_json(self) -> str:
+        import json
         return json.dumps(
             {
                 "n": self.n,
@@ -340,6 +339,7 @@ def audit_bounds(
 
 def build_report(g: RegularDigraph) -> OracleReport:
     """Full exact report: counts, expectation, entropy loss, bound audit."""
+    from fractions import Fraction
     count, cycle_sum = factor_census(g)
     expected = Fraction(cycle_sum, count)
     return OracleReport(

@@ -17,7 +17,6 @@ import math
 import random
 from itertools import chain
 from operator import contains
-from pathlib import Path
 
 from .errors import BadParameters, GraphError, ParseError
 
@@ -412,7 +411,8 @@ def graph_to_text(g: RegularDigraph) -> str:
 
 
 def write_graph(g, path) -> None:
-    Path(path).write_text(graph_to_text(g), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(graph_to_text(g))
 
 
 def parse_graph(text: str):
@@ -461,7 +461,8 @@ def parse_graph(text: str):
 
 
 def read_graph(path):
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclefactor import cli, exact, sampling
+from cyclefactor import cli, exact, sampling, transforms
 from cyclefactor.cli import main
 from cyclefactor.errors import GraphError, ParseError
 from cyclefactor.graphs import (
@@ -255,7 +255,7 @@ class TestFactorCommands:
         def no_sampling(*args, **kwargs):
             raise AssertionError("min_cycle_factor called")
 
-        monkeypatch.setattr(cli, "min_cycle_factor", no_sampling)
+        monkeypatch.setattr(sampling, "min_cycle_factor", no_sampling)
         path = tmp_path / "g.graph"
         write_graph(gen_family("clique_union", 8, 3), path)
         got = run(capsys, "tour", path, "--seed", 2)
@@ -508,8 +508,8 @@ def test_failed_revalidation_exit_code_and_stderr(tmp_path, capsys, monkeypatch,
     write_graph(gen_family("complete_loops", 4, 4), tmp_path / "k4.digraph")
     write_graph(gen_family("cycle", 6, 2), tmp_path / "cycle.graph")
     failed = lambda *args: CheckReport(False, ("X",))
-    monkeypatch.setattr(cli, "verify_path_factor", failed)
-    monkeypatch.setattr(cli, "verify_tour", failed)
+    monkeypatch.setattr(transforms, "verify_path_factor", failed)
+    monkeypatch.setattr(transforms, "verify_tour", failed)
     if message == _NOT_A_FACTOR:
         monkeypatch.setattr(CycleFactor, "is_factor_of", lambda self, g: False)
     got = run(capsys, cmd, tmp_path / path, "--seed", 1)

@@ -11,7 +11,7 @@ import pytest
 
 import cyclefactor
 from cyclefactor.cli import main
-from cyclefactor.graphs import FAMILIES, Record
+from cyclefactor.graphs import FAMILIES, Record, gen_family, write_graph
 from cyclefactor.sampling import SamplerConfig
 
 PACKAGE = Path(cyclefactor.__file__).parent
@@ -45,6 +45,49 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_each_subcommand_loads_what_it_runs(tmp_path):
+    # Importing the CLI loads only what every subcommand needs; each
+    # subcommand then loads its own modules, so gen compiles none of the
+    # counting, sampling or transform code. Each subcommand runs in a child
+    # forked from one process that has imported the CLI and nothing more.
+    graph = tmp_path / "c6.graph"
+    write_graph(gen_family("cycle", 6, 2), graph)
+    argvs = [
+        ["gen", "cycle", "--n", "6", "--d", "2", "--out", str(tmp_path / "gen.out")],
+        ["verify", str(graph), "--out", str(tmp_path / "verify.out")],
+        *([cmd, str(graph), "--seed", "1", "--out", str(tmp_path / f"{cmd}.out")]
+          for cmd in ("cyclefactor", "tour")),
+    ]
+    code = f"""if True:
+        import os, sys
+        import cyclefactor.cli
+        def show(stage):
+            got = set(sys.modules)
+            package = sorted(m.partition(".")[2] for m in got if m.startswith("cyclefactor."))
+            print((stage, package, sorted(got & {{"hashlib", "json", "fractions", "decimal", "pathlib"}})))
+            sys.stdout.flush()
+        show("import")
+        for argv in {argvs!r}:
+            pid = os.fork()
+            if pid == 0:
+                status = cyclefactor.cli.main(argv)
+                show(argv[0])
+                os._exit(status)
+            assert os.waitpid(pid, 0)[1] == 0, argv
+    """
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    stages = {stage: (package, stdlib) for stage, package, stdlib in map(ast.literal_eval, out.splitlines())}
+    base = ["cli", "errors", "graphs"]
+    assert stages["import"] == (base, [])
+    assert stages["gen"] == (base, [])
+    assert stages["verify"][0] == sorted(base + ["entropy", "exact"])
+    assert stages["cyclefactor"][0] == sorted(base + ["exact", "sampling"])
+    assert "fractions" not in stages["cyclefactor"][1]
+    assert stages["tour"][0] == sorted(base + ["exact", "sampling", "transforms"])
 
 
 def _uses(tree, name):
