@@ -127,14 +127,18 @@ def hopcroft_karp(adj) -> list[int]:
     The first phase starts with every row free, so its layers are all
     level 0 and each row in turn takes its first free column: it is run
     as that first-fit loop. Each later phase layers the graph by BFS from
-    the rows free when it starts, then searches augmenting paths
-    depth-first from each of them in order; a matched row never becomes
-    free again, so that list is the phase's roots. The search keeps two
-    explicit stacks, ``path`` (the rows above the current one) and
-    ``scans`` (where their scans resume), so path length is not limited
-    by Python's recursion depth. A path found is flipped back to its root:
-    each row on it takes the column below and hands its old one, which
-    its parent took to reach it, up to the parent.
+    the rows free when it starts, one level at a time over plain lists:
+    the rows that level t reaches through their columns' partners form
+    level t + 1, in the order a queue would take them, and the BFS runs
+    until a level reaches no new row. The phase then searches augmenting
+    paths depth-first from each free row in order. A matched row never
+    becomes free again, so each phase's free rows are the last phase's,
+    filtered, in index order. The search keeps two explicit stacks,
+    ``path`` (the rows above the current one) and ``scans`` (where their
+    scans resume), so path length is not limited by Python's recursion
+    depth. A path found is flipped back to its root: each row on it takes
+    the column below and hands its old one, which its parent took to
+    reach it, up to the parent.
     """
     n = len(adj)
     match_u = [-1] * n
@@ -146,22 +150,25 @@ def hopcroft_karp(adj) -> list[int]:
                 match_v[v] = u
                 break
     INF = n + 1
+    free = [u for u in range(n) if match_u[u] == -1]
     while True:
-        free = [u for u in range(n) if match_u[u] == -1]
         dist = [INF] * n
         for u in free:
             dist[u] = 0
-        queue = deque(free)
+        level, depth = free, 0
         found = False
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                w = match_v[v]
-                if w == -1:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
+        while level:
+            depth += 1
+            reached = []
+            for u in level:
+                for v in adj[u]:
+                    w = match_v[v]
+                    if w == -1:
+                        found = True
+                    elif dist[w] == INF:
+                        dist[w] = depth
+                        reached.append(w)
+            level = reached
         if not found:
             return match_u
         # Depth-first along the layers from each free row in turn, as a
@@ -194,6 +201,7 @@ def hopcroft_karp(adj) -> list[int]:
                     u = path.pop()
                 scans.clear()
                 break
+        free = [u for u in free if match_u[u] == -1]
 
 
 class ExactFactorSampler:

@@ -1,7 +1,15 @@
 import argparse
+import fcntl
+import gc
 import hashlib
 import json
+import os
+import pty
 import random
+import struct
+import sys
+import termios
+import types
 from pathlib import Path
 
 import pytest
@@ -322,6 +330,48 @@ class TestSharedParser:
         assert run(capsys, *argv) == alone
 
 
+def _parser_texts(parser, capsys) -> list:
+    """What parser prints: its help and usage, each subparser's, and the
+    usage errors of a missing subcommand and of gen without arguments."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    texts = [p.format_help() + p.format_usage() for p in (parser, *action.choices.values())]
+    for argv in ([], ["gen"]):
+        with pytest.raises(SystemExit) as e:
+            parser.parse_args(argv)
+        texts.append((e.value.code, capsys.readouterr().err))
+    return texts
+
+
+@pytest.mark.parametrize("stdout", ["file", "tty-100", "tty-0", "closed", "none"])
+@pytest.mark.parametrize("columns", ["60", "80", "120", "abc", "0", "-5", None])
+def test_help_at_argparse_width(capsys, monkeypatch, columns, stdout):
+    # The CLI's formatter finds the width without shutil; every help and
+    # usage text must equal what argparse's own formatter prints, for each
+    # COLUMNS and each kind of stdout that shutil.get_terminal_size reads.
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    fds = []
+    if stdout.startswith("tty"):
+        fds = pty.openpty()
+        fcntl.ioctl(fds[1], termios.TIOCSWINSZ, struct.pack("HHHH", 24, int(stdout[4:]), 0, 0))
+        monkeypatch.setattr(sys, "__stdout__", types.SimpleNamespace(fileno=lambda: fds[1]))
+    elif stdout == "closed":
+        closed = open(os.devnull, "w")
+        closed.close()
+        monkeypatch.setattr(sys, "__stdout__", closed)
+    elif stdout == "none":
+        monkeypatch.setattr(sys, "__stdout__", None)
+    try:
+        ours = _parser_texts(cli.build_parser.__wrapped__(), capsys)
+        monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+        assert _parser_texts(cli.build_parser.__wrapped__(), capsys) == ours
+    finally:
+        for fd in fds:
+            os.close(fd)
+
+
 @pytest.mark.parametrize("argv", [
     ["sample-stats", "g.digraph", "--seed", "3"],
     ["entropy-check", "--seed", "1"],
@@ -490,6 +540,78 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
     got = run(capsys, "gen", "random", "--n", 50000000, "--d", 4, "--seed", 1, "--out", out)
     assert got == (3, "", "out of memory\n")
     assert not out.exists()
+
+
+def _error_case(case_id: str) -> list:
+    (case,) = [p for p in ERROR_CASES if p.id == case_id]
+    return case.values[0]
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("argv, split", [
+    (["gen", "random", "--n", 200, "--d", 3, "--seed", 1, "--out", "{tmp}/x.digraph"], False),
+    (["gen", "clique_union", "--n", 8, "--d", 3, "--out", "{tmp}/x.graph"], False),
+    (["verify", "{tmp}/r12.digraph"], False),
+    (["verify", "{tmp}/r12.digraph", "--format", "json"], False),
+    (["cyclefactor", "{tmp}/r12.digraph", "--seed", 1, "--backend", "exact"], False),
+    (["cyclefactor", "{tmp}/r12.digraph", "--seed", 1, "--backend", "mcmc", "--samples", 4], True),
+    (["pathfactor", "{tmp}/c60.graph", "--seed", 1, "--samples", 2], False),
+    (["tour", "{tmp}/c60.graph", "--seed", 1, "--samples", 2], False),
+    (["bench", "{tmp}/manifest.json", "--out", "{tmp}/r.ndjson"], False),
+    (_error_case("malformed-graph-file"), False),
+    (_error_case("verify-infeasible"), False),
+    (_error_case("missing-graph-file"), False),
+], ids=["gen-random", "gen-family", "verify-text", "verify-json", "cyclefactor-exact",
+        "cyclefactor-mcmc-split", "pathfactor", "tour", "bench", "exit-2", "exit-3", "exit-4"])
+def test_main_leaves_no_cycles(tmp_path, capsys, monkeypatch, argv, split, collecting):
+    # main runs each subcommand with the cyclic collector off, which is
+    # safe only while no subcommand makes a reference cycle: reference
+    # counting alone must free all it allocates. main then leaves the
+    # collector as it found it. A first run builds the parser and imports
+    # the subcommand's modules (pickle and signal for a split), which
+    # leave a fixed amount of cyclic garbage once per process; the second
+    # run must leave none.
+    _error_inputs(tmp_path)
+    write_graph(gen_random_regular_digraph(12, 3, 1), tmp_path / "r12.digraph")
+    write_graph(gen_family("cycle", 60, 2), tmp_path / "c60.graph")
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"config": {"seed": 1, "samples": 2},
+         "instances": [{"family": "cycle", "n": 8, "d": 2}, {"family": "random", "n": 8, "d": 3, "seed": 1}]}))
+    if split:
+        monkeypatch.setattr(sampling, "SPLIT_MIN_STEPS", 1)
+    argv = [str(a).replace("{tmp}", str(tmp_path)) for a in argv]
+    main(argv)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        gc.collect()
+        main(argv)
+        assert (gc.collect(), gc.isenabled()) == (0, collecting)
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_subcommand_runs_with_the_collector_off(tmp_path, monkeypatch):
+    seen = []
+
+    def generate(*args):
+        seen.append(gc.isenabled())
+        return gen_family("cycle", 6, 2)
+
+    monkeypatch.setattr(cli, "_generate", generate)
+    assert main(["gen", "cycle", "--n", "6", "--d", "2", "--out", str(tmp_path / "x")]) == 0
+    assert seen == [False] and gc.isenabled()
+
+
+def test_escaping_exception_turns_the_collector_back_on(tmp_path, monkeypatch):
+    def generate(*args):
+        raise RuntimeError("not mapped to an exit code")
+
+    monkeypatch.setattr(cli, "_generate", generate)
+    with pytest.raises(RuntimeError):
+        main(["gen", "cycle", "--n", "6", "--d", "2", "--out", str(tmp_path / "x")])
+    assert gc.isenabled()
 
 
 _NOT_A_FACTOR = "sampled object failed independent re-validation"

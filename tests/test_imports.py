@@ -47,6 +47,25 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     assert out == "[]\n"
 
 
+def test_parser_loads_no_shutil():
+    # argparse's own help formatter imports shutil, and with it 11 modules,
+    # to read the terminal width; the CLI's formatter reads it without
+    # them, when the parser is built and when a usage error prints usage.
+    code = """if True:
+        import sys, cyclefactor.cli
+        cyclefactor.cli.build_parser()
+        built = "shutil" in sys.modules
+        try:
+            cyclefactor.cli.main(["gen"])
+        except SystemExit as e:
+            print(built, e.code, "shutil" in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False 2 False\n"
+
+
 def test_each_subcommand_loads_what_it_runs(tmp_path):
     # Importing the CLI loads only what every subcommand needs; each
     # subcommand then loads its own modules, so gen compiles none of the
