@@ -348,12 +348,11 @@ class _HelpFormatter(argparse.HelpFormatter):
     """argparse's help formatter, at the width argparse would choose,
     found without importing ``shutil``: argparse imports it to ask the
     terminal size, and it loads 11 modules (``bz2``, ``lzma``, ``zlib``,
-    ``fnmatch`` among them) that no subcommand uses."""
+    ``fnmatch`` among them) that no subcommand uses. argparse builds it
+    as ``formatter_class(prog=...)``."""
 
-    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
-        if width is None:
-            width = _terminal_columns() - 2
-        super().__init__(prog, indent_increment, max_help_position, width)
+    def __init__(self, prog):
+        super().__init__(prog, width=_terminal_columns() - 2)
 
 
 def _terminal_columns() -> int:
