@@ -289,8 +289,9 @@ class TestFactorCommands:
         assert out1 == out2
 
 
-def _subparsers() -> dict:
-    (action,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+def _subparsers(parser=None) -> dict:
+    parser = parser or cli.build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices
 
 
@@ -333,8 +334,7 @@ class TestSharedParser:
 def _parser_texts(parser, capsys) -> list:
     """What parser prints: its help and usage, each subparser's, and the
     usage errors of a missing subcommand and of gen without arguments."""
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    texts = [p.format_help() + p.format_usage() for p in (parser, *action.choices.values())]
+    texts = [p.format_help() + p.format_usage() for p in (parser, *_subparsers(parser).values())]
     for argv in ([], ["gen"]):
         with pytest.raises(SystemExit) as e:
             parser.parse_args(argv)
@@ -348,6 +348,8 @@ def test_help_at_argparse_width(capsys, monkeypatch, columns, stdout):
     # The CLI's formatter finds the width without shutil; every help and
     # usage text must equal what argparse's own formatter prints, for each
     # COLUMNS and each kind of stdout that shutil.get_terminal_size reads.
+    # (A 0-column terminal reads as 80 in shutil from CPython 3.11 on, the
+    # version these tests run on; 3.10's shutil returns the 0.)
     if columns is None:
         monkeypatch.delenv("COLUMNS", raising=False)
     else:
