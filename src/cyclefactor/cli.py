@@ -92,7 +92,7 @@ def _path_fields(g: UndirectedRegularGraph, cycles) -> dict:
     """The fields of the path-factor patched from g's cycles, re-validated."""
     from .transforms import to_path_factor, verify_path_factor
     pf = _checked(to_path_factor(cycles, g), verify_path_factor, g, "path-factor")
-    return {"paths": [list(p) for p in pf.paths], "path_count": pf.num_paths}
+    return {"paths": pf.paths, "path_count": pf.num_paths}
 
 
 def _tour_fields(g: UndirectedRegularGraph, cycles) -> dict:
@@ -100,7 +100,7 @@ def _tour_fields(g: UndirectedRegularGraph, cycles) -> dict:
     from .transforms import to_tour, verify_tour
     tour = _checked(to_tour(cycles, g), verify_tour, g, "tour")
     return {
-        "walk": list(tour.walk),
+        "walk": tour.walk,
         "length": tour.length,
         "length_bound": g.n + 2 * (len(cycles) - 1),
     }
@@ -197,11 +197,11 @@ def cmd_sample(args) -> int:
         "seed": args.seed,
         "backend": result.backend,
         "steps": cfg.resolve_steps(g) if result.backend == "mcmc" else 0,
-        "cycle_counts": list(result.cycle_counts),
+        "cycle_counts": result.cycle_counts,
         "cycle_bound": cycle_bound(g.n, g.d),
         "cycle_count": result.best_count,
-        "sigma": list(result.factor.sigma),
-        "cycles": [list(c) for c in result.factor.cycles],
+        "sigma": result.factor.sigma,
+        "cycles": result.factor.cycles,
     }
     if args.fields is not None:
         payload.update(args.fields(g, result.factor.cycles))
@@ -235,7 +235,7 @@ def _bench_outputs(g, cfg: SamplerConfig) -> dict:
     if g.n <= ORACLE_MAX_N:
         outputs["oracle"] = json.loads(build_report(g).to_json())
     result = _min_factor(g, cfg)
-    outputs["cycle_counts"] = list(result.cycle_counts)
+    outputs["cycle_counts"] = result.cycle_counts
     outputs["min_cycles"] = result.best_count
     outputs["backend"] = result.backend
     if isinstance(g, UndirectedRegularGraph):

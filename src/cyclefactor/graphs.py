@@ -312,7 +312,10 @@ def gen_random_regular_digraph(
     first = 0 if allow_loops else 1
     tails = [label[i] for _ in range(d) for i in range(n)]
     heads = [label[(i + c) % n] for c in range(first, first + d) for i in range(n)]
-    arcs = {t * n + h for t, h in zip(tails, heads)}
+    # A slot's tail never moves, so its arc's code is offsets[i] + heads[i].
+    # tails is label d times over, so offsets shares its n int objects.
+    offsets = [a * n for a in label] * d
+    arcs = {o + h for o, h in zip(offsets, heads)}
     m = n * d
     pairs = m * m
     bits, k = rng.getrandbits, pairs.bit_length()
@@ -323,23 +326,19 @@ def gen_random_regular_digraph(
         while r >= pairs:
             r = bits(k)
         i, j = divmod(r, m)
-        # The rejections are pure tests, so their order changes no outcome:
-        # the cheapest come first.
-        a = tails[i]
-        c = tails[j]
-        if a == c:
-            continue
-        b = heads[i]
+        # Rejections are pure tests, so their order changes no outcome. "ae in
+        # arcs" also rejects a == c (ae is c -> e), b == e (a -> b) and i == j.
         e = heads[j]
-        if b == e:
-            continue
-        ae = a * n + e
+        ae = offsets[i] + e
         if ae in arcs:
             continue
-        cb = c * n + b
+        b = heads[i]
+        cb = offsets[j] + b
         if cb in arcs:
             continue
         if not free:
+            a = tails[i]
+            c = tails[j]
             if not allow_loops and (a == e or c == b):
                 continue
             if not allow_digons and (
@@ -348,15 +347,15 @@ def gen_random_regular_digraph(
                 or (a == b and c == e)  # two loops become a digon a -> c -> a
             ):
                 continue
-        remove(a * n + b)
-        remove(c * n + e)
+        remove(offsets[i] + b)
+        remove(offsets[j] + e)
         add(ae)
         add(cb)
         heads[i] = e
         heads[j] = b
     # The arc set is the chain's largest structure; free it before the
     # graph and its transpose are built, so it does not add to their peak.
-    del arcs, add, remove
+    del arcs, add, remove, offsets
     out: list[list[int]] = [[] for _ in range(n)]
     for t, h in zip(tails, heads):
         out[t].append(h)
@@ -404,10 +403,8 @@ def gen_family(kind: str, n: int, d: int):
 def graph_to_text(g: RegularDigraph) -> str:
     """Serialize a graph to the canonical text format."""
     kind = "graph" if isinstance(g, UndirectedRegularGraph) else "digraph"
-    names = list(map(str, range(g.n)))
-    lines = [f"{kind} {g.n} {g.d}"]
-    lines += [" ".join([names[v] for v in row]) for row in g.out_adj]
-    return "\n".join(lines) + "\n"
+    row = " ".join(["%d"] * g.d) + "\n"
+    return f"{kind} {g.n} {g.d}\n" + row * g.n % tuple(chain.from_iterable(g.out_adj))
 
 
 def write_graph(g, path) -> None:

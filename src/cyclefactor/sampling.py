@@ -270,8 +270,9 @@ class MCMCFactorSampler:
 
     The start matching and its inverse are built once; a draw copies
     both. A hole's own slots keep their stale partners: no move reads
-    them while they are holes (the rotate moves skip the hole row), and a
-    draw returns only from a perfect state, where every slot is filled.
+    them while they are holes (the rotate moves skip the hole row), and
+    the add move that ends a 2-hole run writes both before the draw can
+    return from the perfect state it makes.
     """
 
     def __init__(self, g: RegularDigraph, steps: int):
@@ -292,7 +293,10 @@ class MCMCFactorSampler:
         The burn-in's ``steps`` lazy coins come first, as one count of
         moves (``_heads``); those moves then run with no coin. From the
         budget on, each step flips its coin with ``rng.random()``, and the
-        draw returns at the first perfect state.
+        draw returns at the first perfect state. The outer loop runs once
+        per visit to a perfect state: from the budget on it returns, and
+        before it opens a hole. The inner loop runs the 2-hole steps up to
+        the add move; after one on the last step, the draw raises.
 
         Each move is drawn as CPython 3.11's ``rng.randrange(w)`` draws it
         (``Random._randbelow_with_getrandbits``): ``getrandbits(k)`` with
@@ -308,8 +312,6 @@ class MCMCFactorSampler:
         out_sets = self._out_sets
         match_u = self._init_match.copy()
         match_v = self._init_match_v.copy()
-        hole_u = -1  # -1 means perfect
-        hole_v = -1
         budget = self.steps
         limit = budget + 100 * budget
         rnd = rng.random
@@ -322,18 +324,19 @@ class MCMCFactorSampler:
         w_shared, bits_shared = 2 * d - 1, (2 * d - 1).bit_length()
         # Before the budget the draw never returns and a lazy step changes
         # nothing, so only the burn-in's moves are run, with no coin.
-        for step in range(budget - _heads(bits, budget), limit):
+        # Both loops take their steps from one iterator, so the step after an
+        # add move is the outer loop's next, and none is left past the limit.
+        steps = iter(range(budget - _heads(bits, budget), limit))
+        for step in steps:
             if step >= budget:
-                if hole_u == -1:
-                    return CycleFactor.from_sigma(match_u)
-                if rnd() < 0.5:
-                    continue
-            if hole_u == -1:
+                return CycleFactor.from_sigma(match_u)
+            u = bits(bits_n)
+            while u >= n:
                 u = bits(bits_n)
-                while u >= n:
-                    u = bits(bits_n)
-                hole_u, hole_v = u, match_u[u]
-            else:
+            hole_u, hole_v = u, match_u[u]
+            for step in steps:
+                if step >= budget and rnd() < 0.5:
+                    continue
                 if hole_v in out_sets[hole_u]:
                     k = bits(bits_shared)
                     while k >= w_shared:
@@ -350,12 +353,11 @@ class MCMCFactorSampler:
                     if v == hole_v:
                         match_u[hole_u] = v
                         match_v[v] = hole_u
-                        hole_u = hole_v = -1
-                    else:
-                        u2 = match_v[v]
-                        match_v[v] = hole_u
-                        match_u[hole_u] = v
-                        hole_u = u2
+                        break
+                    u2 = match_v[v]
+                    match_v[v] = hole_u
+                    match_u[hole_u] = v
+                    hole_u = u2
                 else:
                     u2 = in_adj[hole_v][k - d]
                     v2 = match_u[u2]

@@ -671,6 +671,49 @@ class TestParseFaults:
             parse_graph("# one\n\ngraph 2 1\n1\n")
 
 
+
+def per_row_text(g):
+    """The text format written one row at a time, as graph_to_text wrote it
+    before its body became one format."""
+    kind = "graph" if isinstance(g, UndirectedRegularGraph) else "digraph"
+    rows = [" ".join(map(str, row)) for row in g.out_adj]
+    return "\n".join([f"{kind} {g.n} {g.d}"] + rows) + "\n"
+
+
+class TestGraphText:
+    """graph_to_text's bytes against the per-row writer."""
+
+    GRAPHS = {
+        "complete_loops": lambda: gen_family("complete_loops", 12, 4),
+        "clique_union": lambda: gen_family("clique_union", 12, 3),
+        "cycle": lambda: gen_family("cycle", 11, 2),
+        "complete_bipartite_like": lambda: gen_family("complete_bipartite_like", 12, 3),
+        "random": lambda: gen_random_regular_digraph(40, 3, 1),
+        "random_no_loops": lambda: gen_random_regular_digraph(40, 4, 2, allow_loops=False),
+        "random_no_digons": lambda: gen_random_regular_digraph(40, 5, 3, allow_digons=False),
+        "random_neither": lambda: gen_random_regular_digraph(40, 3, 4, False, False),
+        "d1": lambda: gen_random_regular_digraph(5, 1, 0),
+        "cycle_3000": lambda: gen_family("cycle", 3000, 2),
+        "clique_union_2000": lambda: gen_family("clique_union", 2000, 4),
+    }
+
+    def test_families_covered(self):
+        assert set(FAMILIES) <= set(self.GRAPHS)
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_same_bytes_as_per_row_writer(self, name):
+        g = self.GRAPHS[name]()
+        assert graph_to_text(g) == per_row_text(g)
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_write_read_round_trip(self, name, tmp_path):
+        g = self.GRAPHS[name]()
+        path = tmp_path / "g.txt"
+        write_graph(g, path)
+        assert path.read_bytes() == per_row_text(g).encode()
+        back = read_graph(path)
+        assert back == g and type(back) is type(g)
+
 _BOUND = BoundCheck("upper", 2.0, 3.5, True)
 _FACTOR = CycleFactor((1, 0, 2), ((0, 1), (2,)))
 # Each record class: its fields in order, one field changed, and its repr.

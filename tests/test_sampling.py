@@ -32,6 +32,7 @@ from cyclefactor.graphs import to_bipartite
 from factor_listing import enumerate_cycle_factors
 from hopcroft_karp_reference import hopcroft_karp as reference_hopcroft_karp
 from lazy_chain import lazy_draw
+import mcmc_stream
 
 
 def complete_loops(n):
@@ -425,6 +426,45 @@ class TestBurnInLaw:
         assert cf.sigma == tuple(hopcroft_karp(g.out_adj))
         assert max(asked) <= 1 << 20
         assert sum(asked) == budget
+
+
+class TestMCMCStream:
+    """The draw against the one-loop copy in tests/mcmc_stream.py, seed by
+    seed: the same sigma, or the same StepBudgetExhausted text. The pinned
+    draws above cover 4 seeds a budget; this covers 300."""
+
+    GRAPHS = {
+        **TestMCMCDrawsPinned.GRAPHS,
+        # d = 2: both move widths, 2d - 1 = 3 and 2d = 4, take 2 and 3 bits.
+        "doubled_cycle_9": lambda: double_undirected(gen_family("cycle", 9, 2)),
+        "dense": lambda: gen_random_regular_digraph(12, 8, 3),
+    }
+
+    @staticmethod
+    def outcome(draw, seed):
+        try:
+            return draw(random.Random(seed)).sigma
+        except StepBudgetExhausted as e:
+            return str(e)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 7, None])
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_same_draws_as_one_loop(self, name, budget):
+        g = self.GRAPHS[name]()
+        sampler = MCMCFactorSampler(g, budget or SamplerConfig().resolve_steps(g))
+        for seed in range(300):
+            assert self.outcome(sampler.sample, seed) == self.outcome(
+                lambda rng: mcmc_stream.sample(sampler, rng), seed), seed
+
+    def test_add_move_on_the_last_step_raises(self):
+        # At budget 1 the limit is 101 steps. Seed 517's add move falls on
+        # step 100, the last one (found by marking that move in a copy of
+        # tests/mcmc_stream.py): the loop ends before the perfect state is
+        # seen, so the draw raises, as the one-loop copy does.
+        sampler = MCMCFactorSampler(self.GRAPHS["random"](), 1)
+        message = "no perfect state within 101 steps (budget 1)"
+        assert self.outcome(sampler.sample, 517) == message
+        assert self.outcome(lambda rng: mcmc_stream.sample(sampler, rng), 517) == message
 
 
 class TestMinCycleFactor:
