@@ -40,11 +40,11 @@ __all__ = [
 EXACT_MAX_N = exact.MAX_STATES.bit_length() - 1
 _MASK64 = (1 << 64) - 1
 # MCMC min-of-k runs split across processes from this many chain steps in
-# all (k times the budget). A two-process split costs 4.7-4.9 ms more than
-# a serial run of draws that cost nothing in a 20 MB process, 6.4-7.7 ms at
-# 50 MB, 12-15 ms at 100 MB, and a budget step costs 0.18-0.21 us (2-core
+# all (k times the budget). A two-process split costs 1.4-1.8 ms more than
+# a serial run of draws that cost nothing in a 20 MB process, 2.2-2.5 ms at
+# 50 MB, 3.4-3.8 ms at 100 MB, and a budget step costs 0.08-0.10 us (2-core
 # x86-64, CPython 3.11). A second core saves half the steps, so it breaks
-# even at 2^15.6 steps in all at 20 MB, 2^16.2 at 50 MB, 2^17.1 at 100 MB.
+# even at 2^15.0 steps in all at 20 MB, 2^15.7 at 50 MB, 2^16.3 at 100 MB.
 SPLIT_MIN_STEPS = 1 << 16
 # The burn-in's coins are drawn at most this many to a getrandbits call,
 # so a draw holds 128 KiB of them whatever the step budget.
