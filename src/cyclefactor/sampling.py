@@ -3,9 +3,9 @@
 Two backends: an exactly-uniform sequential sampler driven by extension
 counts (bounded by the states its count table holds, see
 ``exact.MAX_STATES``), and a lazy near-perfect-matching Markov chain on
-the auxiliary bipartite graph for larger instances. On top of
-both sits the min-of-k selection that keeps the best of several
-independent draws.
+the auxiliary bipartite graph for larger instances, started from the
+perfect matching that ``max_matching`` finds. On top of both sits the
+min-of-k selection that keeps the best of several independent draws.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ __all__ = [
     "SPLIT_MIN_STEPS",
     "SamplerConfig",
     "derive_seed",
-    "hopcroft_karp",
+    "max_matching",
     "ExactFactorSampler",
     "MCMCFactorSampler",
     "min_cycle_factor",
@@ -118,27 +118,24 @@ class SamplerConfig(Record):
         return max(10, math.ceil(4 * math.log2(max(n, 2))))
 
 
-def hopcroft_karp(adj) -> list[int]:
+def max_matching(adj) -> list[int]:
     """Maximum matching of the bipartite graph whose U-side vertex u is
     joined to the V-side vertices ``adj[u]`` (n rows, n columns); returns
     the V-partner of each U vertex (-1 for unmatched). Deterministic:
     vertices scanned in index order.
 
-    The first phase starts with every row free, so its layers are all
-    level 0 and each row in turn takes its first free column: it is run
-    as that first-fit loop. Each later phase layers the graph by BFS from
-    the rows free when it starts, one level at a time over plain lists:
-    the rows that level t reaches through their columns' partners form
-    level t + 1, in the order a queue would take them, and the BFS runs
-    until a level reaches no new row. The phase then searches augmenting
-    paths depth-first from each free row in order. A matched row never
-    becomes free again, so each phase's free rows are the last phase's,
-    filtered, in index order. The search keeps two explicit stacks,
-    ``path`` (the rows above the current one) and ``scans`` (where their
-    scans resume), so path length is not limited by Python's recursion
-    depth. A path found is flipped back to its root: each row on it takes
-    the column below and hands its old one, which its parent took to
-    reach it, up to the parent.
+    Each row in turn first takes its first free column. Then each row
+    still free, in index order, runs one breadth-first alternating search:
+    from its columns to their partners' columns, each column reached once
+    (``seen`` holds the root whose search reached it, ``via`` the row it
+    was reached from), until it reaches a free column. The path found is
+    flipped back to the root: each row on it takes the column below and
+    hands its old one up. A root whose search reaches no free column
+    stays free and is not tried again: a row with no augmenting path
+    still has none after other paths are flipped (Kuhn), so once every
+    row has been tried no augmenting path is left, and by Berge's theorem
+    the matching is maximum. Each search is O(n + m), so the whole is
+    O(n m) at worst; on a regular graph the paths are short.
     """
     n = len(adj)
     match_u = [-1] * n
@@ -149,59 +146,33 @@ def hopcroft_karp(adj) -> list[int]:
                 match_u[u] = v
                 match_v[v] = u
                 break
-    INF = n + 1
-    free = [u for u in range(n) if match_u[u] == -1]
-    while True:
-        dist = [INF] * n
-        for u in free:
-            dist[u] = 0
-        level, depth = free, 0
-        found = False
-        while level:
-            depth += 1
-            reached = []
-            for u in level:
-                for v in adj[u]:
+    via = [0] * n
+    seen = [-1] * n
+    for root in [u for u in range(n) if match_u[u] == -1]:
+        queue = [root]
+        for u in queue:  # the queue grows as it is read
+            for v in adj[u]:
+                if seen[v] != root:
+                    seen[v] = root
+                    via[v] = u
                     w = match_v[v]
                     if w == -1:
-                        found = True
-                    elif dist[w] == INF:
-                        dist[w] = depth
-                        reached.append(w)
-            level = reached
-        if not found:
-            return match_u
-        # Depth-first along the layers from each free row in turn, as a
-        # recursion on rows would.
-        path: list[int] = []
-        scans = []
-        for root in free:
-            u, scan = root, iter(adj[root])
-            while True:
-                for v in scan:
-                    w = match_v[v]
-                    if w == -1 or dist[w] == dist[u] + 1:
                         break
-                else:
-                    dist[u] = INF  # a dead end for the rest of this phase
-                    if not path:
-                        break
-                    u, scan = path.pop(), scans.pop()
-                    continue
-                if w != -1:
-                    path.append(u)
-                    scans.append(scan)
-                    u, scan = w, iter(adj[w])
-                    continue
-                while True:  # v is free: flip the path back to the root
-                    match_v[v] = u
-                    match_u[u], v = v, match_u[u]
-                    if not path:
-                        break
-                    u = path.pop()
-                scans.clear()
-                break
-        free = [u for u in free if match_u[u] == -1]
+                    queue.append(w)
+            else:
+                continue
+            break
+        else:
+            continue  # no augmenting path: root stays free
+        while v != -1:  # v is free: flip the path back to the root
+            u = via[v]
+            match_v[v] = u
+            match_u[u], v = v, match_u[u]
+    return match_u
+
+
+# Kept for perfbench/decompose.py, out of __all__ (ROADMAP item 16).
+hopcroft_karp = max_matching
 
 
 class ExactFactorSampler:
@@ -259,10 +230,11 @@ class MCMCFactorSampler:
     each side. From a perfect state a uniformly random matched edge is
     removed; from a 2-hole state an edge incident to a hole is added or
     rotated, uniformly among such edges. Every step is lazy with
-    probability 1/2. Each draw restarts from a deterministic maximum
-    matching, runs the configured burn-in (``steps``), and returns the
-    first perfect state at or after it. A draw that meets no perfect state
-    within 101 * ``steps`` steps raises ``StepBudgetExhausted``.
+    probability 1/2. Each draw restarts from the perfect matching that
+    ``max_matching`` finds, runs the configured burn-in (``steps``), and
+    returns the first perfect state at or after it. A draw that meets no
+    perfect state within 101 * ``steps`` steps raises
+    ``StepBudgetExhausted``.
 
     A lazy step leaves the state as it is, so the burn-in is drawn as
     Binomial(``steps``, 1/2) moves in a row, the same law as ``steps``
@@ -282,7 +254,7 @@ class MCMCFactorSampler:
         self.steps = steps
         self._out_sets = list(map(set, g.out_adj))
         # g is d-regular with d >= 1, so by König's theorem this is perfect.
-        self._init_match = hopcroft_karp(g.out_adj)
+        self._init_match = max_matching(g.out_adj)
         self._init_match_v = [0] * g.n
         for u, v in enumerate(self._init_match):
             self._init_match_v[v] = u

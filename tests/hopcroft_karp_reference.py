@@ -1,10 +1,12 @@
-"""Hopcroft-Karp as written before its first phase became a first-fit loop.
+"""Hopcroft-Karp, every phase layered by BFS from the free rows.
 
-A reference for ``sampling.hopcroft_karp``: every phase, the first one
-included, layers the rows by BFS from the free rows and then searches
-augmenting paths depth-first from each free row in index order. The MCMC
-sampler starts every draw from this matching, so a seed's draws depend on
-it; ``test_sampling`` checks the package's version against this one.
+A reference for ``sampling.max_matching``, which takes a first-fit pass
+and then one augmenting search per free row: ``test_sampling`` checks
+that the two give matchings of one size on any rows, and the same
+matching on the doubled families of the benchmark's tour_large workload.
+Every phase, the first one included, layers the rows by BFS from the
+free rows and then searches augmenting paths depth-first from each free
+row in index order.
 """
 
 from collections import deque

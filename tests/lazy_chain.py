@@ -7,14 +7,14 @@ the tests can compare the two samplers' laws, not their random streams.
 """
 
 from cyclefactor.errors import StepBudgetExhausted
-from cyclefactor.sampling import hopcroft_karp
+from cyclefactor.sampling import max_matching
 
 
 def lazy_draw(g, budget, rng):
     """sigma of the first perfect state at or after step ``budget`` of the
     lazy chain started from the package's maximum matching; raises
     ``StepBudgetExhausted`` if none comes within 101 * budget steps."""
-    match_u = list(hopcroft_karp(g.out_adj))
+    match_u = list(max_matching(g.out_adj))
     match_v = [0] * g.n
     for u, v in enumerate(match_u):
         match_v[v] = u

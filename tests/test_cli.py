@@ -29,7 +29,7 @@ from cyclefactor.graphs import (
     to_bipartite,
     write_graph,
 )
-from cyclefactor.sampling import SamplerConfig, hopcroft_karp
+from cyclefactor.sampling import SamplerConfig, max_matching
 from cyclefactor.transforms import CheckReport
 from graph_text_reference import reference_read_graph
 
@@ -204,8 +204,9 @@ class TestFactorCommands:
 
     def test_mcmc_long_augmenting_path(self, tmp_path, capsys):
         # Rows u_i ~ columns v_i, v_{i+1}: the bipartite graph is one
-        # 2n-cycle. This labelling makes Hopcroft-Karp's last augmenting
-        # path about n/2 rows long, past Python's recursion limit.
+        # 2n-cycle. This labelling leaves one row free after the first-fit
+        # pass, and its augmenting path is n/2 rows long, past Python's
+        # recursion limit.
         n, h = 4000, 2000
         col = [n - 1] + [n - 1 - i if i <= h else i - h - 1 for i in range(1, n)]
         row = [i if i < h else (n - 1 if i == h else i - 1) for i in range(n)]
@@ -213,7 +214,7 @@ class TestFactorCommands:
         for i in range(n):
             adj[row[i]] = tuple(sorted((col[i], col[(i + 1) % n])))
         g = RegularDigraph(n, 2, tuple(adj))
-        assert sorted(hopcroft_karp(to_bipartite(g))) == list(range(n))
+        assert sorted(max_matching(to_bipartite(g))) == list(range(n))
         path = tmp_path / "g.digraph"
         write_graph(g, path)
         code, _, _ = run(

@@ -235,7 +235,7 @@ def test_one_statement_of_the_api_all_lists_bound_names():
         unbound = [name for name in names if not hasattr(module, name)]
         assert not unbound, (path.name, unbound)
         listed.update(names)
-    assert {"RegularDigraph", "cycle_law", "hopcroft_karp", "derive_seed"} <= listed
+    assert {"RegularDigraph", "cycle_law", "max_matching", "derive_seed"} <= listed
     assert not {"to_bipartite", "double_undirected", "to_undirected_cycle_factor"} & listed
 
 

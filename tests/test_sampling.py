@@ -25,7 +25,7 @@ from cyclefactor.sampling import (
     MCMCFactorSampler,
     SamplerConfig,
     derive_seed,
-    hopcroft_karp,
+    max_matching,
     min_cycle_factor,
 )
 from cyclefactor.graphs import to_bipartite
@@ -53,41 +53,57 @@ class TestDeriveSeed:
         assert 0 <= derive_seed(2**64 - 1, 999) < 2**64
 
 
-class TestHopcroftKarp:
+def assert_matching(rows, match):
+    """Every pair is an arc, and no column is used twice."""
+    assert all(v == -1 or v in rows[u] for u, v in enumerate(match)), rows
+    used = [v for v in match if v != -1]
+    assert len(used) == len(set(used)), rows
+
+
+class TestMaxMatching:
     def test_perfect_on_regular(self):
         for seed in range(10):
             g = gen_random_regular_digraph(9, 3, seed)
-            match = hopcroft_karp(to_bipartite(g))
+            match = max_matching(to_bipartite(g))
             assert sorted(match) == list(range(9))
             assert all(v in g.out_adj[u] for u, v in enumerate(match))
 
     def test_deterministic(self):
         h = to_bipartite(gen_random_regular_digraph(8, 2, 7))
-        assert hopcroft_karp(h) == hopcroft_karp(h)
+        assert max_matching(h) == max_matching(h)
 
 
 class TestHopcroftKarpReference:
-    """The first-fit first phase and the per-phase root list give the
-    matching of the all-BFS version in tests/hopcroft_karp_reference.py."""
+    """The matching against Hopcroft-Karp as in
+    tests/hopcroft_karp_reference.py: as large on any rows, perfect on
+    regular ones, and the same matching on the doubled families that the
+    benchmark's tour_large workload samples."""
 
     def test_every_small_random_digraph(self):
         for n in range(1, 13):
             for d in range(1, n + 1):
                 for seed in range(5):
                     rows = gen_random_regular_digraph(n, d, seed).out_adj
-                    assert hopcroft_karp(rows) == reference_hopcroft_karp(rows), (n, d, seed)
+                    match = max_matching(rows)
+                    assert sorted(match) == list(range(n)), (n, d, seed)
+                    assert_matching(rows, match)
 
     @pytest.mark.parametrize("n, d", [(100, 2), (250, 3), (500, 4), (1000, 5), (2000, 6), (2000, 2)])
     def test_large_random_digraphs(self, n, d):
         rows = gen_random_regular_digraph(n, d, n + d).out_adj
-        assert hopcroft_karp(rows) == reference_hopcroft_karp(rows)
+        match = max_matching(rows)
+        assert sorted(match) == list(range(n))
+        assert_matching(rows, match)
 
     @pytest.mark.parametrize("kind, n, d", [
-        ("cycle", 1000, 2), ("clique_union", 1000, 3), ("complete_bipartite_like", 1002, 3),
+        ("cycle", 1000, 2), ("cycle", 1001, 2), ("cycle", 6000, 2), ("clique_union", 1000, 3),
+        ("complete_bipartite_like", 1002, 3), ("complete_bipartite_like", 1200, 3),
     ])
     def test_doubled_families(self, kind, n, d):
+        # tour_large's failed ops are C6000 and C1001 draws that exhaust
+        # their budget, and how many fail depends on the start.
         rows = double_undirected(gen_family(kind, n, d)).out_adj
-        assert hopcroft_karp(rows) == reference_hopcroft_karp(rows)
+        assert max_matching(rows) == reference_hopcroft_karp(rows)
 
     def test_rows_that_stay_unmatched(self):
         # Not regular: empty rows, and rows fighting over few columns.
@@ -95,7 +111,11 @@ class TestHopcroftKarpReference:
         for _ in range(300):
             n = rng.randint(1, 40)
             rows = [sorted(rng.sample(range(n), rng.randint(0, min(n, 4)))) for _ in range(n)]
-            assert hopcroft_karp(rows) == reference_hopcroft_karp(rows), rows
+            match = max_matching(rows)
+            size = len(match) - match.count(-1)
+            reference = reference_hopcroft_karp(rows)
+            assert size == len(reference) - reference.count(-1), rows
+            assert_matching(rows, match)
 
 
 class TestExactSampler:
@@ -349,14 +369,14 @@ class TestMCMCDrawsPinned:
         # The default at n = 12 is 20 n d ceil(log2 n) = 960 d steps.
         g = gen_random_regular_digraph(12, 3, 1)
         result = min_cycle_factor(g, SamplerConfig(seed=3, backend="mcmc"))
-        assert result.cycle_counts == (3, 4, 2, 3, 2, 1, 1, 2, 1, 2, 2, 3, 4, 4, 3)
+        assert result.cycle_counts == (3, 3, 1, 3, 3, 3, 2, 2, 2, 2, 3, 3, 4, 4, 2)
 
     def test_min_cycle_factor_explicit_budget(self):
         # An explicit budget, here the former default 50 n^2 d, is the one
         # the chain runs: these are its draws, not the default budget's.
         g = gen_random_regular_digraph(12, 3, 1)
         result = min_cycle_factor(g, SamplerConfig(seed=3, backend="mcmc", mcmc_steps=50 * 12 * 12 * 3))
-        assert result.cycle_counts == (2, 1, 4, 3, 2, 4, 3, 3, 1, 2, 2, 4, 2, 2, 2)
+        assert result.cycle_counts == (2, 2, 4, 3, 1, 1, 3, 3, 1, 3, 2, 2, 2, 1, 2)
 
     def test_inlined_draw_matches_randrange(self):
         # MCMCFactorSampler.sample draws its moves this way in place of
@@ -423,7 +443,7 @@ class TestBurnInLaw:
 
         g = TestMCMCDrawsPinned.GRAPHS["random"]()
         cf = MCMCFactorSampler(g, budget).sample(ZeroBits())
-        assert cf.sigma == tuple(hopcroft_karp(g.out_adj))
+        assert cf.sigma == tuple(max_matching(g.out_adj))
         assert max(asked) <= 1 << 20
         assert sum(asked) == budget
 
@@ -567,7 +587,7 @@ class TestSplitDraws:
         assert k * steps >= sampling.SPLIT_MIN_STEPS
         sampler = MCMCFactorSampler(g, steps)
         # Seeds whose minimum is tied between draws of different processes.
-        for seed in (2, 3, 7):
+        for seed in (1, 4, 7):
             cfg = SamplerConfig(seed=seed, backend="mcmc", mcmc_steps=steps, num_samples=k)
             result = min_cycle_factor(g, cfg)
             replay = [sampler.sample(random.Random(derive_seed(seed, i))) for i in range(k)]

@@ -17,7 +17,7 @@ instance:
   the mean TV between five pairs of exact draw sets.
 - R-hat: larger random graphs with no exact reference, at the default
   and at twice it. The draws are split between four chains, each on the
-  graph relabelled so that its Hopcroft-Karp start differs; of 16
+  graph relabelled so that its start matching differs; of 16
   relabellings, the chains take the two starts with the fewest cycles
   and the two with the most (their cycle counts follow the family
   name). The row reports the Gelman-Rubin R-hat of
@@ -49,7 +49,7 @@ from cyclefactor.sampling import (
     MCMCFactorSampler,
     SamplerConfig,
     derive_seed,
-    hopcroft_karp,
+    max_matching,
 )
 
 SIZES = (16, 32, 64, 128, 256)
@@ -186,7 +186,7 @@ def main() -> None:
             perm = list(range(g.n))
             rng.shuffle(perm)
             h = relabel(g, perm)
-            starts.append((CycleFactor.from_sigma(hopcroft_karp(h.out_adj)).num_cycles, h))
+            starts.append((CycleFactor.from_sigma(max_matching(h.out_adj)).num_cycles, h))
         starts.sort(key=lambda s: s[0])
         starts = starts[:CHAINS // 2] + starts[-(CHAINS // 2):]
         graphs = [h for _, h in starts]
