@@ -386,12 +386,24 @@ def test_removed_subcommand_is_invalid_choice(capsys, argv):
     assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
 
 
-def test_readme_cli_block_names_every_subcommand():
+def _readme_cli_commands() -> list:
     # The block CI runs as written: the first sh block under "## CLI".
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    named = {line.split()[1] for line in block.splitlines() if line.startswith("cyclefactor ")}
-    assert named == _subcommands()
+    return [line.split() for line in block.splitlines() if line.startswith("cyclefactor ")]
+
+
+def test_readme_cli_block_names_every_subcommand():
+    assert {words[1] for words in _readme_cli_commands()} == _subcommands()
+
+
+def test_readme_cli_sums_name_every_output():
+    # CI runs the block in a directory that holds only the bench manifest, and
+    # requires it to hold exactly the files these sums name afterwards.
+    outs = {words[words.index("--out") + 1] for words in _readme_cli_commands() if "--out" in words}
+    sums = Path(__file__).resolve().parent / "readme_cli.sha256"
+    named = {line.split("  ", 1)[1] for line in sums.read_text(encoding="utf-8").splitlines()}
+    assert named == outs | {"manifest.json", "stdout.txt", "stderr.txt"}
 
 
 def _error_inputs(tmp):
