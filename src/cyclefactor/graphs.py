@@ -312,29 +312,30 @@ def gen_random_regular_digraph(
     first = 0 if allow_loops else 1
     tails = [label[i] for _ in range(d) for i in range(n)]
     heads = [label[(i + c) % n] for c in range(first, first + d) for i in range(n)]
-    # A slot's tail never moves, so its arc's code is offsets[i] + heads[i].
-    # tails is label d times over, so offsets shares its n int objects.
-    offsets = [a * n for a in label] * d
-    arcs = {o + h for o, h in zip(offsets, heads)}
+    out: list = [set() for _ in range(n)]
+    for t, h in zip(tails, heads):
+        out[t].add(h)
+    # A slot's tail never moves, so rows[i] is its tail's head set for good.
+    rows = [out[t] for t in tails]
     m = n * d
     pairs = m * m
     bits, k = rng.getrandbits, pairs.bit_length()
-    add, remove = arcs.add, arcs.remove
     free = allow_loops and allow_digons
     for _ in range(math.ceil(m * math.log(m)) + 1000):
         r = bits(k)
         while r >= pairs:
             r = bits(k)
-        i, j = divmod(r, m)
-        # Rejections are pure tests, so their order changes no outcome. "ae in
-        # arcs" also rejects a == c (ae is c -> e), b == e (a -> b) and i == j.
+        i = r // m
+        j = r % m
+        # Rejections are pure tests, so their order changes no outcome. "e in
+        # rows[i]" also rejects a == c (c -> e), b == e (a -> b) and i == j.
         e = heads[j]
-        ae = offsets[i] + e
-        if ae in arcs:
+        row_i = rows[i]
+        if e in row_i:
             continue
         b = heads[i]
-        cb = offsets[j] + b
-        if cb in arcs:
+        row_j = rows[j]
+        if b in row_j:
             continue
         if not free:
             a = tails[i]
@@ -342,24 +343,23 @@ def gen_random_regular_digraph(
             if not allow_loops and (a == e or c == b):
                 continue
             if not allow_digons and (
-                (a != e and e * n + a in arcs)
-                or (c != b and b * n + c in arcs)
+                (a != e and a in out[e])
+                or (c != b and c in out[b])
                 or (a == b and c == e)  # two loops become a digon a -> c -> a
             ):
                 continue
-        remove(offsets[i] + b)
-        remove(offsets[j] + e)
-        add(ae)
-        add(cb)
+        row_i.remove(b)
+        row_i.add(e)
+        row_j.remove(e)
+        row_j.add(b)
         heads[i] = e
         heads[j] = b
-    # The arc set is the chain's largest structure; free it before the
-    # graph and its transpose are built, so it does not add to their peak.
-    del arcs, add, remove, offsets
-    out: list[list[int]] = [[] for _ in range(n)]
-    for t, h in zip(tails, heads):
-        out[t].append(h)
-    return RegularDigraph.from_lists(n, d, out)
+    # Free the per-slot lists, and each set as its sorted row replaces it,
+    # before the graph's transpose is built, so they add nothing to its peak.
+    del rows, tails, heads
+    for v, row in enumerate(out):
+        out[v] = tuple(sorted(row))
+    return RegularDigraph(n, d, tuple(out))
 
 
 FAMILIES = ("complete_loops", "clique_union", "cycle", "complete_bipartite_like")

@@ -368,13 +368,14 @@ class TestRandomGenerator:
 
     # (n, d, allow_loops, allow_digons): n = 1, d = n, each flag and both,
     # the frozen starts (6, 2) and (7, 2), the tightest no-digon sizes, and
-    # d up to 6.
+    # d from 8 to 32, where a tail's set of heads outgrows its smallest table.
     STREAM_CASES = [
         (1, 1, True, True), (1, 1, True, False), (4, 4, True, True), (5, 5, True, True),
         (5, 4, False, True), (8, 2, False, True), (7, 3, True, False), (9, 4, True, False),
         (6, 2, False, False), (7, 2, False, False), (11, 5, False, False),
         (13, 6, False, False), (10, 6, True, True), (40, 6, False, True), (30, 5, True, False),
-        (200, 3, True, True),
+        (200, 3, True, True), (40, 8, True, True), (48, 16, False, True),
+        (41, 12, True, False), (65, 32, False, False),
     ]
 
     @pytest.mark.parametrize("n,d,loops,digons", STREAM_CASES)
