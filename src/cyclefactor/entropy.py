@@ -14,6 +14,8 @@ matching counts gives every tally and loss term with its weight.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 
 from .errors import BadParameters, SizeLimitExceeded
 from .exact import entropy_loss
@@ -41,7 +43,7 @@ def _validate(probs) -> tuple[float, ...]:
         raise BadParameters("non-finite probability")
     if any(p < 0 for p in probs):
         raise BadParameters("negative probability")
-    total = sum(probs)
+    total = reduce(add, probs, 0.0)
     if abs(total - 1.0) > _SUM_TOLERANCE:
         raise BadParameters(f"probabilities sum to {total}, not 1")
     return probs
@@ -49,7 +51,8 @@ def _validate(probs) -> tuple[float, ...]:
 
 def _entropy(probs) -> float:
     # No validation: callers pass a checked law or one derived from it.
-    return -sum(p * math.log2(p) for p in probs if p > 0.0)
+    # reduce adds left to right on every interpreter (3.12 made sum compensated).
+    return -reduce(add, (p * math.log2(p) for p in probs if p > 0.0), 0.0)
 
 
 def shannon_entropy(probs) -> float:
@@ -105,23 +108,28 @@ def reveal_audit(g: RegularDigraph) -> RevealAuditReport:
     n, d = g.n, g.d
     if n > REVEAL_MAX_N:
         raise SizeLimitExceeded(f"reveal audit limited to n <= {REVEAL_MAX_N}, got {n}")
-    # pairs[P, S]: the matchings of rows P onto columns S, nonzero only;
-    # each is built once, by adding its rows in increasing order.
-    pairs = {(0, 0): 1}
+    arcs = [(i, c) for i in range(n) for c in g.out_adj[i]]
+    rows = [tuple((a, 1 << n + j | 1 << c, 1 << c) for a, (j, c) in enumerate(arcs) if j == i) for i in range(n)]
+    # pairs[P << n | S]: the matchings of rows P onto columns S, nonzero only,
+    # each built once by adding its rows in increasing order. rows[i] holds
+    # (a, drop, bit) per arc a = (i, c): drop flips row i and column c in a key.
+    pairs = {0: 1}
     level = pairs
     for _ in range(n):
-        nxt: dict[tuple[int, int], int] = {}
-        for (rows, cols), ways in level.items():
-            for i in range(rows.bit_length(), n):
-                for c in g.out_adj[i]:
-                    if not cols >> c & 1:
-                        key = (rows | 1 << i, cols | 1 << c)
-                        nxt[key] = nxt.get(key, 0) + ways
+        nxt: dict[int, int] = {}
+        for key, ways in level.items():
+            for row in rows[(key >> n).bit_length():]:
+                for _, drop, bit in row:
+                    if not key & bit:
+                        nxt[key | drop] = nxt.get(key | drop, 0) + ways
         pairs.update(nxt)
         level = nxt
-    full = (1 << n) - 1
-    count = pairs[full, full]
+    both = (1 << 2 * n) - 1
+    count = pairs[both]
     fact = [math.factorial(k) for k in range(n + 1)]
+    weight = [fact[k] * fact[n - 1 - k] for k in range(n)]
+    in_set = [[row for i, row in enumerate(rows) if rest >> i & 1] for rest in range(1 << n)]
+    get = pairs.get
 
     # Vertex i comes up right after the set P in |P|! (n - 1 - |P|)! of
     # the n! orders, and `scale` is that weight times pairs[P, S].
@@ -129,32 +137,29 @@ def reveal_audit(g: RegularDigraph) -> RevealAuditReport:
     # pairs[P^c, S^c]; in each, sigma(i) = c in pairs[P^c - i, S^c - c] of
     # them, and s, the out-neighbours of i not in S, is the same for all.
     # tallies[a][s - 1] adds the weight once per factor taking arc a = (i, c).
-    arcs = [(i, c) for i in range(n) for c in g.out_adj[i]]
-    row_arcs = [[(a, 1 << c) for a, (j, c) in enumerate(arcs) if j == i] for i in range(n)]
+    # h is -H, added left to right as by _entropy: the same on every interpreter.
     tallies = [[0] * d for _ in arcs]
     terms = []
-    for (prefix, image), groups in pairs.items():
-        rest, free = full ^ prefix, full ^ image
-        size = pairs.get((rest, free), 0)
-        if not rest or not size:
+    for key, groups in pairs.items():
+        rest = key ^ both  # P^c << n | S^c
+        size = get(rest, 0)
+        if rest >> n == 0 or not size:
             continue
-        k = prefix.bit_count()
-        scale = fact[k] * fact[n - 1 - k] * groups
-        todo = rest
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            open_arcs = [arc for arc in row_arcs[low.bit_length() - 1] if free & arc[1]]
-            ways = [pairs.get((rest ^ low, free ^ bit), 0) for _, bit in open_arcs]
-            s = len(open_arcs)
-            h = _entropy([w / size for w in ways])
-            terms.append(scale * size * (math.log2(s) - h))
-            for (a, _), w in zip(open_arcs, ways):
-                tallies[a][s - 1] += scale * w
+        scale = weight[(key >> n).bit_count()] * groups
+        for row in in_set[rest >> n]:
+            found = [(a, get(rest ^ drop, 0)) for a, drop, bit in row if rest & bit]
+            s = len(found)
+            h = 0.0
+            for a, w in found:
+                if w:
+                    p = w / size
+                    h += p * math.log2(p)
+                    tallies[a][s - 1] += scale * w
+            terms.append(scale * size * (math.log2(s) + h))
 
     failures = []
     for (i, c), tally in zip(arcs, tallies):
-        expected = pairs.get((full ^ 1 << i, full ^ 1 << c), 0) * fact[n] // d
+        expected = get(both ^ (1 << n + i | 1 << c), 0) * fact[n] // d
         if any(t != expected for t in tally):
             failures.append(f"arc ({i}, {c}): tally {tally} != {expected} each")
     return RevealAuditReport(

@@ -148,16 +148,19 @@ def completion_levels(out_adj):
         bits = [1 << v for v in out_adj[row]]
         must = closes[row]
         nxt: dict[int, int] = {}
+        get = nxt.get
+        wide = len(level) * len(bits) > MAX_STATES  # a set yields <= len(bits) sets
         for left, ways in level.items():
             hit = left & must
             if hit:
                 if not hit & (hit - 1):
-                    nxt[left ^ hit] = nxt.get(left ^ hit, 0) + ways
+                    nxt[left ^ hit] = get(left ^ hit, 0) + ways
             else:
                 for bit in bits:
                     if left & bit:
-                        nxt[left ^ bit] = nxt.get(left ^ bit, 0) + ways
-            if len(nxt) > MAX_STATES:
+                        key = left ^ bit
+                        nxt[key] = get(key, 0) + ways
+            if wide and len(nxt) > MAX_STATES:
                 raise SizeLimitExceeded(f"counting level {k} holds over {MAX_STATES} column sets")
         level = nxt
         yield row, level
@@ -213,6 +216,8 @@ def cycle_law(g: RegularDigraph) -> dict[int, int]:
     level = {1 << 2 * w: 1}
     for k in range(1, n + 1):
         nxt: dict[int, int] = {}
+        get = nxt.get
+        wide = len(level) * (d + 1) > MAX_STATES  # a state steps to <= d states
         for state, value in level.items():
             covered, s, h = state >> 2 * w, state >> w & vertex, state & vertex
             rest = full ^ covered
@@ -247,8 +252,8 @@ def cycle_law(g: RegularDigraph) -> dict[int, int]:
                     if rest & bit[r] and not out_mask[r] & owed:
                         break
                 else:
-                    nxt[key] = nxt.get(key, 0) + stepped
-            if len(level) + len(nxt) > MAX_STATES:
+                    nxt[key] = get(key, 0) + stepped
+            if wide and len(level) + len(nxt) > MAX_STATES:
                 raise SizeLimitExceeded(f"cycle census holds over {MAX_STATES} states at level {k}")
         level = nxt
     digit = (1 << b) - 1

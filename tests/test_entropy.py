@@ -10,6 +10,7 @@ from cyclefactor.entropy import (
 )
 from cyclefactor.errors import BadParameters, SizeLimitExceeded
 from cyclefactor.graphs import RegularDigraph, gen_family, gen_random_regular_digraph
+from reveal_reference import reveal_audit as reference_audit
 
 
 def random_simplex_point(rng, s):
@@ -35,11 +36,18 @@ class TestShannonEntropy:
         pytest.param([1.2, -0.2], "negative probability", id="probs2"),
         pytest.param([math.nan, 1.0], "non-finite probability", id="probs3"),
         pytest.param([math.nan], "non-finite probability", id="probs4"),
+        # Added left to right: a compensated sum (CPython 3.12's) reads 1.1.
+        pytest.param([0.1] * 11, "probabilities sum to 1.0999999999999999, not 1", id="probs5"),
     ])
     def test_invalid(self, probs, message):
         with pytest.raises(BadParameters) as e:
             shannon_entropy(probs)
         assert str(e.value) == message
+
+    def test_sums_left_to_right(self):
+        # The terms are added left to right on every interpreter; CPython
+        # 3.12's compensated sum would give 0x1.a934f0979a372p+1.
+        assert float.hex(shannon_entropy([0.1] * 10)) == "0x1.a934f0979a371p+1"
 
     def test_bounded_by_log_support(self):
         rng = random.Random(0)
@@ -156,3 +164,35 @@ class TestRevealAudit:
         assert float.hex(report.aggregated_loss) == aggregated
         assert float.hex(report.direct_loss) == direct
         assert report.loss_gap <= 1e-14
+
+
+def small_shapes(n):
+    """Every (d, allow_loops, allow_digons) the generator admits at n: d up
+    to n, n - 1 without loops, (n - 1) // 2 + 1 without digons, and
+    (n - 1) // 2 without both."""
+    tops = {(True, True): n, (False, True): n - 1,
+            (True, False): (n - 1) // 2 + 1, (False, False): (n - 1) // 2}
+    return [(d, loops, digons) for (loops, digons), top in tops.items() for d in range(1, top + 1)]
+
+
+def assert_same_report(got, want):
+    assert got == want
+    assert float.hex(got.aggregated_loss) == float.hex(want.aggregated_loss)
+    assert float.hex(got.direct_loss) == float.hex(want.direct_loss)
+
+
+class TestRevealAuditReference:
+    # The audit against tests/reveal_reference.py, the tuple-keyed audit
+    # it was rewritten from: every field equal, the losses bit for bit.
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_small_shape_and_seed(self, n):
+        # 324 digraphs over n = 1..6, seeds 0-5.
+        for d, loops, digons in small_shapes(n):
+            for seed in range(6):
+                g = gen_random_regular_digraph(n, d, seed, allow_loops=loops, allow_digons=digons)
+                assert_same_report(reveal_audit(g), reference_audit(g))
+
+    @pytest.mark.parametrize("n, d", [(3, 3), (4, 4), (6, 1), (6, 2), (6, 3), (6, 6)])
+    def test_complete_loops(self, n, d):
+        g = gen_family("complete_loops", n, d)
+        assert_same_report(reveal_audit(g), reference_audit(g))

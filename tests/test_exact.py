@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import random
@@ -430,6 +431,76 @@ class TestCycleCensus:
         monkeypatch.setattr(exact, "MAX_STATES", 4)
         with pytest.raises(SizeLimitExceeded, match="cycle census holds over 4 states"):
             factor_census(gen_family("complete_loops", 6, 3))
+
+
+def census_held(g):
+    """g's cycle law, and the states cycle_law holds (the level before and
+    the level built) as it finishes each level k = 1..n, read from its
+    locals on an unbudgeted run."""
+    code = exact.cycle_law.__code__
+    lines, first = inspect.getsourcelines(exact.cycle_law)
+    [at] = [first + i for i, line in enumerate(lines) if line.strip() == "level = nxt"]
+    held = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == at:
+            held.append(len(frame.f_locals["level"]) + len(frame.f_locals["nxt"]))
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        law = exact.cycle_law(g)
+    finally:
+        sys.settrace(old)
+    return law, held
+
+
+def budget_instances():
+    rng = random.Random(46)
+    cases = []
+    for n in range(2, 11):
+        for d in sorted({1, 2, 3, n // 2 + 1, n - 1, n} & set(range(1, n + 1))):
+            cases.append(pytest.param(gen_random_regular_digraph(n, d, rng.randrange(10**6)), id=f"random{n}-{d}"))
+    for n, d in ((7, 3), (9, 4), (10, 3)):
+        for loops, name in ((False, "no_loops"), (True, "no_digons")):
+            g = gen_random_regular_digraph(n, d, rng.randrange(10**6), allow_loops=loops, allow_digons=not loops)
+            cases.append(pytest.param(g, id=f"random{n}-{d}-{name}"))
+    for kind, n, d in (("complete_loops", 8, 4), ("complete_loops", 9, 3), ("complete_loops", 10, 5),
+                       ("clique_union", 8, 3), ("clique_union", 9, 2), ("clique_union", 10, 4),
+                       ("cycle", 5, 2), ("cycle", 10, 2), ("complete_bipartite_like", 6, 3),
+                       ("complete_bipartite_like", 8, 2), ("complete_bipartite_like", 10, 5)):
+        cases.append(pytest.param(gen_family(kind, n, d), id=f"{kind}{n}-{d}"))
+    return cases
+
+
+class TestBudgetBoundary:
+    # Each pass is admitted at a budget equal to the most it holds, and
+    # refused one below, at the first level that reaches that most: the
+    # budget test, run only where a level can outgrow the budget, is never
+    # skipped where it is needed.
+    @pytest.mark.parametrize("g", budget_instances())
+    def test_counting_pass(self, g, monkeypatch):
+        sizes = [len(level) for _, level in exact.completion_levels(g.out_adj)][1:]
+        count = permanent(g.out_adj)
+        widest = max(sizes)
+        monkeypatch.setattr(exact, "MAX_STATES", widest)
+        assert permanent(g.out_adj) == count
+        monkeypatch.setattr(exact, "MAX_STATES", widest - 1)
+        k = g.n - 1 - sizes.index(widest)
+        with pytest.raises(SizeLimitExceeded, match=f"^counting level {k} holds over {widest - 1} column sets$"):
+            permanent(g.out_adj)
+
+    @pytest.mark.parametrize("g", budget_instances())
+    def test_census(self, g, monkeypatch):
+        law, held = census_held(g)
+        peak = max(held)
+        monkeypatch.setattr(exact, "MAX_STATES", peak)
+        assert exact.cycle_law(g) == law
+        monkeypatch.setattr(exact, "MAX_STATES", peak - 1)
+        k = held.index(peak) + 1
+        with pytest.raises(SizeLimitExceeded, match=f"^cycle census holds over {peak - 1} states at level {k}$"):
+            exact.cycle_law(g)
 
 
 class TestExpectedCycles:
